@@ -42,16 +42,12 @@ namespace {
       "                   running independent (app, protocol) cells, each\n"
       "                   on its own Machine (default: all host cores;\n"
       "                   results are identical for any N)\n"
-      "  --shards N       shard-level parallelism: threads *inside* one\n"
-      "                   simulation (conservative parallel DES, DESIGN.md\n"
-      "                   Sec. 10). 0 = serial legacy engine. Stats are\n"
-      "                   bit-identical across shard counts >= 1\n"
       "  --capture DIR    record each cell's workload stream as a trace\n"
-      "                   under DIR/<app>_<protocol>/ (serial-only; see\n"
-      "                   DESIGN.md Sec. 11)\n"
+      "                   under DIR/<app>_<protocol>/ (see DESIGN.md\n"
+      "                   Sec. 11)\n"
       "  --replay DIR     replay traces from DIR/<app>_<protocol>/ with the\n"
-      "                   fiber-free front end; composes with --jobs and\n"
-      "                   --shards, stats bit-identical to the captured run\n",
+      "                   fiber-free front end; composes with --jobs,\n"
+      "                   stats bit-identical to the captured run\n",
       prog);
   std::exit(2);
 }
@@ -122,8 +118,6 @@ Options Options::parse(int argc, char** argv) {
     } else if (arg == "--jobs") {
       opt.jobs = static_cast<unsigned>(std::stoul(next()));
       if (opt.jobs == 0) usage(argv[0]);
-    } else if (arg == "--shards") {
-      opt.shards = static_cast<unsigned>(std::stoul(next()));
     } else if (arg == "--capture") {
       opt.capture_dir = next();
     } else if (arg == "--replay") {
@@ -134,10 +128,6 @@ Options Options::parse(int argc, char** argv) {
   }
   if (!opt.capture_dir.empty() && !opt.replay_dir.empty()) {
     std::fprintf(stderr, "--capture and --replay are mutually exclusive\n");
-    usage(argv[0]);
-  }
-  if (!opt.capture_dir.empty() && opt.shards != 0) {
-    std::fprintf(stderr, "--capture is serial-only (drop --shards)\n");
     usage(argv[0]);
   }
   return opt;
@@ -171,7 +161,6 @@ core::SystemParams make_params(const Options& opt) {
     p.cache = cache::CacheConfig::paper_l2().add_llc(1024 * 1024, 8);
   }
   p.seed = opt.seed;
-  p.shards = opt.shards;
   return p;
 }
 

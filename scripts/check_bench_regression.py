@@ -17,12 +17,8 @@ The "sim" section's speedup is measured against a baseline pinned on the
 recording host, so on other hosts it is informational; pass --strict-sim
 to enforce it too (used when regenerating the checked-in files).
 
-Speedup leaves whose enclosing section records "host_cores" <= 1 on either
-side compare multi-threaded shard configurations measured without host
-parallelism (pure synchronization overhead, see micro_pdes.cpp); those
-columns are informational, never enforced. Serial-vs-serial ratios (e.g.
-micro_trace's replay-vs-fiber speedup) carry host_cores only as
-provenance — their sections do not gate on it (HOST_GATED_SECTIONS).
+Every ratio compares two serial configurations, so none depends on the
+host's core count; "host_cores" fields are provenance only.
 """
 
 import json
@@ -36,7 +32,6 @@ ZERO_ALLOCS = 0.001          # "zero" allowing for one-off warmup noise
 # regenerating the JSON with an older binary) must itself be a failure.
 REQUIRED_SECTIONS = {
     "micro_memsys": ("sim", "hier", "container"),
-    "micro_pdes": ("pdes",),
     "micro_trace": ("trace",),
 }
 
@@ -48,35 +43,17 @@ SPEEDUP_HARD_FLOORS = {
     "micro_trace.trace.speedup": 1.10,
 }
 
-# Sections whose speedups are real-parallelism measurements: enforced only
-# when both the checked-in and the fresh file were recorded with free host
-# cores. The trace section is deliberately absent — replay vs fiber are
-# both serial, so the ratio holds on any host.
-HOST_GATED_SECTIONS = ("pdes",)
 
-
-def host_limited(path, ref_cores, new_cores):
-    gated = any(f".{s}." in path or path.endswith(f".{s}")
-                for s in HOST_GATED_SECTIONS)
-    return gated and (ref_cores is not None and ref_cores <= 1
-                      or new_cores is not None and new_cores <= 1)
-
-
-def walk(ref, new, path, failures, strict_sim,
-         ref_cores=None, new_cores=None):
+def walk(ref, new, path, failures, strict_sim):
     if isinstance(ref, dict):
         if not isinstance(new, dict):
             failures.append(f"{path}: shape mismatch")
             return
-        # A section's host_cores applies to every leaf beneath it.
-        ref_cores = ref.get("host_cores", ref_cores)
-        new_cores = new.get("host_cores", new_cores)
         for key, ref_val in ref.items():
             if key not in new:
                 failures.append(f"{path}.{key}: missing from fresh output")
                 continue
-            walk(ref_val, new[key], f"{path}.{key}", failures, strict_sim,
-                 ref_cores, new_cores)
+            walk(ref_val, new[key], f"{path}.{key}", failures, strict_sim)
         return
     if not isinstance(ref, (int, float)) or isinstance(ref, bool):
         return
@@ -85,10 +62,6 @@ def walk(ref, new, path, failures, strict_sim,
         if ".sim." in path and not strict_sim:
             print(f"  info {path}: {new:.2f} (checked-in {ref:.2f}, "
                   "baseline is host-pinned; not enforced)")
-            return
-        if host_limited(path, ref_cores, new_cores):
-            print(f"  info {path}: {new:.2f} (checked-in {ref:.2f}, "
-                  "measured at host_cores <= 1; not enforced)")
             return
         floor = max(ref * (1.0 - REGRESSION_TOLERANCE),
                     SPEEDUP_HARD_FLOORS.get(path, 0.0))

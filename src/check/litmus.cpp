@@ -317,7 +317,6 @@ LitmusResult run_litmus(const LitmusProgram& prog, core::ProtocolKind kind,
   }
   auto params = core::SystemParams::test_scale(prog.nprocs);
   if (opts.cache) params.cache = *opts.cache;
-  params.shards = opts.shards;
   core::Machine m(params, kind,
                   replay ? trace::ReplayCpu::factory(opts.replay_dir)
                          : core::Machine::CpuFactory{});
@@ -345,25 +344,12 @@ LitmusResult run_litmus(const LitmusProgram& prog, core::ProtocolKind kind,
 
   LitmusResult res;
   res.regs.assign(kNumRegs, 0);
-  // Pre-create every lock's grant-order slot: under sharded execution the
-  // fibers run on worker threads, and while pushes into one lock's vector
-  // are ordered by the window barriers (grants of one lock are >= one
-  // cross-shard latency apart), concurrent map *insertion* would not be.
-  for (const auto& ops : prog.code) {
-    for (const LitmusOp& op : ops) {
-      if (op.kind == LitmusOp::kLock) res.lock_order[op.sync];
-    }
-  }
-
 #ifdef LRCSIM_CHECK
   // Non-strict: litmus results are evaluated by the caller; collect rather
-  // than throw so a violating run still reports its outcome. The runtime
-  // checker is serial-only, so sharded runs skip it (result evaluation
-  // still covers the forbid/require conditions). Replay skips it too: the
-  // checker needs the fiber front end (Machine::run rejects the combination).
-  check::Checker* ck = (opts.shards == 0 && !replay)
-                           ? m.enable_checker(/*strict=*/false)
-                           : nullptr;
+  // than throw so a violating run still reports its outcome. Replay skips
+  // the checker: it needs the fiber front end (Machine::run rejects the
+  // combination).
+  check::Checker* ck = replay ? nullptr : m.enable_checker(/*strict=*/false);
 #endif
 
   std::unique_ptr<trace::CaptureLog> capture;

@@ -105,12 +105,6 @@ struct LitmusResult {
 /// Extended run controls. Defaults reproduce run_litmus(prog, kind, seed).
 struct LitmusRunOptions {
   std::uint64_t seed = 1;
-  /// Shard count for the conservative parallel engine (DESIGN.md §10);
-  /// 0 = serial legacy engine. Sharded runs skip the runtime checker (it
-  /// is serial-only), so programs meant for sharded execution must be
-  /// data-race-free under their own locks/barriers to have deterministic
-  /// outcomes.
-  unsigned shards = 0;
   /// Seeded per-processor start stagger + inter-op compute jitter. The
   /// model checker turns this off so the baseline timing is a pure function
   /// of the program and its schedule decisions.
@@ -131,14 +125,14 @@ struct LitmusRunOptions {
   /// pre_run. Not called when the run throws.
   std::function<void(core::Machine&)> post_run;
   /// When set, records the per-processor workload stream under this
-  /// directory (trace/writer.hpp; DESIGN.md §11). Capture is serial-only
-  /// (shards must be 0) and mutually exclusive with replay_dir.
+  /// directory (trace/writer.hpp; DESIGN.md §11). Mutually exclusive with
+  /// replay_dir.
   std::string capture_dir;
   /// When set, runs the program's captured trace through the fiber-free
   /// replay front end (trace/replay_cpu.hpp) instead of executing the
   /// litmus body. Registers live on the host and are not traced, so the
   /// result carries no register values and conditions are not evaluated;
-  /// use post_run to compare Machine reports. Composes with shards.
+  /// use post_run to compare Machine reports.
   std::string replay_dir;
 };
 

@@ -22,6 +22,13 @@ Cpu::Cpu(Machine& m, NodeId id)
   resume_event_.set_mc_actor(id, /*resumes_fiber=*/true);
 }
 
+Cpu::~Cpu() {
+  // A run that unwinds mid-flight (a protocol error, a checker violation)
+  // abandons the fiber inside drive(); its stack is freed without
+  // unwinding, so release the suspended op's coroutine frames here.
+  if (driving_ != nullptr) driving_->reset();
+}
+
 unsigned Cpu::nprocs() const { return m_.nprocs(); }
 
 void Cpu::compute(Cycle n) {
@@ -78,7 +85,7 @@ void Cpu::schedule_quantum_resume() {
   hits_since_yield_ = 0;
   resume_scheduled_ = true;
   resume_mode_ = ResumeMode::kQuantum;
-  m_.sched_resume(id_, now_, resume_event_);
+  m_.engine().schedule_external(now_, resume_event_);
 }
 
 void Cpu::quantum_yield() {
@@ -98,7 +105,7 @@ void Cpu::poke(Cycle t) {
   if (!blocked_ || resume_scheduled_) return;
   resume_scheduled_ = true;
   resume_mode_ = ResumeMode::kPoke;
-  m_.sched_resume(id_, std::max(t, now_), resume_event_);
+  m_.engine().schedule_external(std::max(t, now_), resume_event_);
 }
 
 void Cpu::on_resume(Cycle t) {
@@ -125,7 +132,7 @@ void Cpu::on_resume(Cycle t) {
 
 void Cpu::schedule_start() {
   resume_mode_ = ResumeMode::kStart;
-  m_.sched_resume(id_, 0, resume_event_);
+  m_.engine().schedule_external(0, resume_event_);
 }
 
 void Cpu::start(std::function<void(Cpu&)> body) {

@@ -35,7 +35,7 @@ class Machine;
 class Cpu {
  public:
   Cpu(Machine& m, NodeId id);
-  virtual ~Cpu() = default;
+  virtual ~Cpu();
 
   NodeId id() const { return id_; }
   unsigned nprocs() const;
@@ -94,6 +94,10 @@ class Cpu {
   /// into block(). The fiber front end's bridge to the coroutine protocol
   /// entry points.
   void drive(proto::CpuOp op) {
+    struct Driving {  // exposes `op` to ~Cpu while it is in flight
+      proto::CpuOp*& slot;
+      ~Driving() { slot = nullptr; }
+    } driving{driving_ = &op};
     while (!op.step()) block(op.wait_kind());
   }
 
@@ -177,6 +181,7 @@ class Cpu {
 
   std::unique_ptr<sim::Fiber> fiber_;
   std::function<void(Cpu&)> body_;
+  proto::CpuOp* driving_ = nullptr;  // op on the fiber stack; see ~Cpu
   ResumeEvent resume_event_{*this};
   ResumeMode resume_mode_ = ResumeMode::kStart;
   bool blocked_ = false;

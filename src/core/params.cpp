@@ -61,21 +61,6 @@ void SystemParams::validate() const {
           std::to_string(cache.llc_slice_bytes / line_bytes) + ")");
     }
   }
-  if (shards > 0) {
-    // Sharded runs need page homes that are a pure function of the address:
-    // first-touch assigns homes in access order, which is tie-dependent.
-    if (home_policy != mem::HomePolicy::kRoundRobin) {
-      throw std::invalid_argument(
-          "SystemParams: shards > 0 requires the round-robin home policy "
-          "(first-touch homes depend on access order)");
-    }
-    // LLC slice lookups hash across nodes, so a slice is touched by fills
-    // from any shard; keep the shared LLC on the serial engine for now.
-    if (cache.has_llc()) {
-      throw std::invalid_argument(
-          "SystemParams: shards > 0 does not support a shared LLC yet");
-    }
-  }
 }
 
 SystemParams SystemParams::paper_default(unsigned nprocs) {

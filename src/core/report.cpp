@@ -71,12 +71,6 @@ std::string Report::summary() const {
     os << "  PAST-TIME SCHEDULES CLAMPED: " << sched_past_violations;
   }
   os << "\n";
-  if (!shard_past_violations.empty()) {
-    os << "shards: " << shard_past_violations.size()
-       << "  past-time clamps per shard:";
-    for (std::uint64_t v : shard_past_violations) os << " " << v;
-    os << "\n";
-  }
   return os.str();
 }
 

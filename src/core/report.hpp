@@ -56,10 +56,6 @@ struct Report {
   /// Kernel health: events the engine had to clamp because a component
   /// scheduled them in the past (must be 0; see Engine::past_violations).
   std::uint64_t sched_past_violations = 0;
-  /// Sharded runs (DESIGN.md §10): the same clamp counter per shard engine,
-  /// in shard order. Empty for serial runs. A nonzero entry names the shard
-  /// whose lookahead was violated, which the aggregate above cannot.
-  std::vector<std::uint64_t> shard_past_violations;
   /// Total events the engine executed for this run.
   std::uint64_t events_executed = 0;
 

@@ -43,19 +43,6 @@ WordMask AddressMap::word_mask(Addr a, std::uint32_t bytes) const {
   return span << first;
 }
 
-void AddressMap::freeze(std::uint64_t limit_bytes) {
-  assert(policy_ == HomePolicy::kRoundRobin &&
-         "freeze() needs address-determined homes");
-  const std::uint64_t pages = (limit_bytes >> page_shift_) + 1;
-  if (pages > page_home_.size()) page_home_.resize(pages, kInvalidNode);
-  for (std::uint64_t p = 0; p < page_home_.size(); ++p) {
-    if (page_home_[p] == kInvalidNode) {
-      page_home_[p] = static_cast<NodeId>(p % nodes_);
-    }
-  }
-  frozen_ = true;
-}
-
 NodeId AddressMap::resolve_home(std::uint64_t page, NodeId toucher) {
   if (page >= page_home_.size()) {
     page_home_.resize(page + 1, kInvalidNode);

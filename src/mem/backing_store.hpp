@@ -31,33 +31,15 @@ class BackingStore {
   T load(Addr a) const {
     check(a, sizeof(T));
     T v;
-    if (concurrent_) {
-      atomic_copy(reinterpret_cast<std::uint8_t*>(&v), data_.data() + a,
-                  sizeof(T));
-    } else {
-      std::memcpy(&v, data_.data() + a, sizeof(T));
-    }
+    std::memcpy(&v, data_.data() + a, sizeof(T));
     return v;
   }
 
   template <typename T>
   void store(Addr a, const T& v) {
     check(a, sizeof(T));
-    if (concurrent_) {
-      atomic_copy(data_.data() + a, reinterpret_cast<const std::uint8_t*>(&v),
-                  sizeof(T));
-    } else {
-      std::memcpy(data_.data() + a, &v, sizeof(T));
-    }
+    std::memcpy(data_.data() + a, &v, sizeof(T));
   }
-
-  /// Sharded runs (DESIGN.md §10) flip the store into concurrent mode:
-  /// loads/stores become byte-wise relaxed atomics, so host threads racing
-  /// on the same simulated word are defined behavior (no host UB). Programs
-  /// that are data-race-free in the simulated machine see exact values via
-  /// the physical happens-before of the shard clock protocol; simulated
-  /// races read *some* byte combination, just as real hardware would.
-  void set_concurrent(bool on) { concurrent_ = on; }
 
   struct Segment {
     std::string name;
@@ -73,17 +55,8 @@ class BackingStore {
     }
   }
 
-  static void atomic_copy(std::uint8_t* dst, const std::uint8_t* src,
-                          std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      __atomic_store_n(dst + i, __atomic_load_n(src + i, __ATOMIC_RELAXED),
-                       __ATOMIC_RELAXED);
-    }
-  }
-
   std::vector<std::uint8_t> data_;
   std::size_t next_ = 0;
-  bool concurrent_ = false;  // see set_concurrent()
   std::vector<Segment> segments_;
 };
 

@@ -48,8 +48,7 @@ class Dram {
   }
 
  private:
-  // All mutable per-access state lives in the accessed node's channel, so
-  // sharded runs touch only shard-local cache lines here.
+  // All mutable per-access state lives in the accessed node's channel.
   struct alignas(64) Channel {
     Cycle free = 0;
     std::uint32_t cached_bytes = 0;  // memoized size→cost pair (hot path)

@@ -68,38 +68,8 @@ class Nic {
   /// explorer can reorder individual same-cycle arrivals.
   void set_batching(bool on) { batching_ = on; }
 
-  /// Sharded-run routing hooks (installed by core::Machine, DESIGN.md §10):
-  /// resolve the engine owning a node, mint the deterministic structural
-  /// event key, and hand cross-shard arrivals to the destination shard's
-  /// inbox. Installing hooks disables same-cycle batching (its proof relies
-  /// on single-engine sequence adjacency) and routes every arrival and
-  /// delivery through the destination node's engine.
-  struct ShardHooks {
-    sim::Engine* (*engine_for)(void* ctx, NodeId node) = nullptr;
-    std::uint64_t (*key_for)(void* ctx, NodeId actor, NodeId origin) = nullptr;
-    /// Returns true when the arrival was queued for a remote shard (the
-    /// destination shard calls post_arrival at its next window drain).
-    bool (*post_remote)(void* ctx, const Message& msg, Cycle arrive,
-                        std::uint64_t key) = nullptr;
-    void* ctx = nullptr;
-  };
-  void set_shard_hooks(const ShardHooks& h) {
-    hooks_ = h;
-    sharded_ = true;
-  }
-
-  /// Destination-shard entry: schedules a drained cross-shard arrival into
-  /// the destination node's engine. Runs on the destination shard's thread.
-  void post_arrival(const Message& msg, Cycle arrive, std::uint64_t key);
-
-  /// Whole-mesh totals (per-node counters summed in node order).
-  NicStats stats() const;
-  /// Traffic attributed to one node: sends count at the source, sink
-  /// arbitration (recv_contention) at the destination.
-  const NicStats& node_stats(NodeId n) const { return stats_[n]; }
-  void reset_stats() {
-    for (auto& s : stats_) s = NicStats{};
-  }
+  /// Whole-mesh traffic totals.
+  const NicStats& stats() const { return stats_; }
 
  private:
   class Arrival;   // pooled event: >=1 messages arriving on one cycle
@@ -128,8 +98,6 @@ class Nic {
   std::vector<Cycle> in_free_;   // sink-endpoint next-free time
   Arrival* pending_arrival_ = nullptr;  // batching candidate; see send()
   bool batching_ = true;                // see set_batching()
-  bool sharded_ = false;                // see set_shard_hooks()
-  ShardHooks hooks_;
 #ifdef LRCSIM_CHECK
   struct TieMark {  // per-sink same-cycle arrival seq watermark
     Cycle cycle = static_cast<Cycle>(-1);
@@ -137,7 +105,7 @@ class Nic {
   };
   std::vector<TieMark> tie_mark_;
 #endif
-  std::vector<NicStats> stats_;  // per node; see node_stats()
+  NicStats stats_;
 };
 
 }  // namespace lrc::mesh

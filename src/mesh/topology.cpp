@@ -38,36 +38,4 @@ Topology::Topology(unsigned nodes) : nodes_(nodes) {
   }
 }
 
-std::vector<std::uint8_t> Topology::partition(unsigned shards) const {
-  const unsigned s =
-      shards == 0 ? 1 : std::min({shards, nodes_, 255u});  // uint8_t ids
-  std::vector<std::uint8_t> out(nodes_);
-  // Balanced contiguous ranges in row-major order: shard k owns nodes
-  // [k*N/S, (k+1)*N/S). Row-major contiguity keeps each shard a spatial
-  // strip of the mesh, so most protocol traffic (requester <-> nearby home)
-  // stays shard-local and only strip-boundary messages cross threads.
-  for (unsigned k = 0; k < s; ++k) {
-    const NodeId lo = static_cast<NodeId>(
-        (static_cast<std::uint64_t>(k) * nodes_) / s);
-    const NodeId hi = static_cast<NodeId>(
-        (static_cast<std::uint64_t>(k + 1) * nodes_) / s);
-    for (NodeId n = lo; n < hi; ++n) out[n] = static_cast<std::uint8_t>(k);
-  }
-  return out;
-}
-
-unsigned Topology::min_cross_shard_hops(
-    const std::vector<std::uint8_t>& shard_of) const {
-  assert(shard_of.size() == nodes_);
-  unsigned best = 0;
-  for (NodeId a = 0; a < nodes_; ++a) {
-    for (NodeId b = 0; b < nodes_; ++b) {
-      if (shard_of[a] == shard_of[b]) continue;
-      const unsigned h = hops(a, b);
-      if (best == 0 || h < best) best = h;
-    }
-  }
-  return best;
-}
-
 }  // namespace lrc::mesh

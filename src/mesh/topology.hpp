@@ -38,21 +38,8 @@ class Topology {
   double mean_hops() const { return mean_hops_; }
 
   /// Largest node count a Topology supports. Protocol-backed machines are
-  /// further limited to kMaxProcs by the bitmask directory; the larger
-  /// topology ceiling serves the sharded-engine scaling benches.
+  /// further limited to kMaxProcs by the bitmask directory.
   static constexpr unsigned kMaxNodes = 1024;
-
-  /// Partitions the mesh into `shards` spatially-contiguous clusters of
-  /// near-equal size (row-major node ranges, i.e. row strips when shards
-  /// divides rows). Handles shards > nodes (clamped to one node per shard)
-  /// and counts that do not divide nodes (sizes differ by at most one).
-  /// Returns node -> shard; shard ids are dense in [0, min(shards, nodes)).
-  std::vector<std::uint8_t> partition(unsigned shards) const;
-
-  /// Minimum hop distance between nodes in *different* shards under the
-  /// given assignment (the basis for the conservative lookahead). Returns 0
-  /// if every node shares one shard (no cross-shard pair exists).
-  unsigned min_cross_shard_hops(const std::vector<std::uint8_t>& shard_of) const;
 
  private:
   unsigned nodes_;

@@ -3,6 +3,7 @@
 // every protocol uses to block a processor across lock/barrier traffic.
 #pragma once
 
+#include <stdexcept>
 #include <vector>
 
 #include "core/cpu.hpp"
@@ -12,6 +13,15 @@
 #include "proto/sync_manager.hpp"
 
 namespace lrc::proto {
+
+/// A handler received a message its preconditions rule out, e.g. a reply
+/// with no outstanding transaction. Thrown in every build type in place of
+/// an assert, so the failure names the node, the line and the message kind
+/// instead of dereferencing a null entry.
+class ProtocolError : public std::logic_error {
+ public:
+  using std::logic_error::logic_error;
+};
 
 class ProtocolBase : public Protocol {
  public:
@@ -71,6 +81,11 @@ class ProtocolBase : public Protocol {
                           std::uint32_t bytes) {
     return m_.mem_partial_write(node, line, at, bytes);
   }
+
+  /// Throws ProtocolError for `msg` at its receiving node; `what` names the
+  /// violated precondition.
+  [[noreturn]] static void handler_error(const mesh::Message& msg,
+                                         const char* what);
 
   // Per-node flag set by sync-completion callbacks; the blocked fiber's
   // wait loop tests it.

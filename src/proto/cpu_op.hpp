@@ -13,9 +13,8 @@
 // Ops nest (`co_await drain(cpu)`) with symmetric transfer: the child body
 // starts inside the co_await expression, exactly where the old direct call
 // ran, so host-call order — and therefore event order and every golden
-// digest — is unchanged. Frames recycle through a thread-local freelist
-// (shard-thread-confined, like every other per-node pool), so steady-state
-// ops allocate nothing.
+// digest — is unchanged. Frames recycle through a thread-local freelist,
+// so steady-state ops allocate nothing.
 #pragma once
 
 #include <cassert>
@@ -39,8 +38,8 @@ struct Wait {
 namespace op_detail {
 
 // Coroutine-frame pool: 64-byte-granule buckets on a thread-local freelist.
-// Ops are created, driven, and destroyed by the thread that owns their node
-// (the shard thread in sharded runs), so no locking is needed; a frame
+// Ops are created, driven, and destroyed by the thread running their
+// machine (one per --jobs worker), so no locking is needed; a frame
 // abandoned at machine teardown simply migrates to the destroying thread's
 // pool. The first op of each shape on a thread takes one global allocation;
 // after that the hot path (one frame per memory access) recycles — the

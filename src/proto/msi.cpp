@@ -239,7 +239,7 @@ void MsiBase::evict_victim(NodeId p, const cache::CacheLine& victim,
   // without a copy.
 }
 
-void MsiBase::unbusy_and_replay(DirEntry& e, LineId line, Cycle at) {
+void MsiBase::unbusy_and_replay(DirEntry& e, Cycle at) {
   e.busy = false;
   e.pending_requester = kInvalidNode;
   e.pending_owner = kInvalidNode;
@@ -247,9 +247,9 @@ void MsiBase::unbusy_and_replay(DirEntry& e, LineId line, Cycle at) {
   e.pending_mem_done = 0;
   // redeliver() only schedules a RedeliverEvent (no reentrant dispatch), so
   // the queue can be walked in place and then reclaimed.
-  e.deferred.for_each(dir_.msg_pool(line),
+  e.deferred.for_each(dir_.msg_pool(),
                       [&](const Message& msg) { m_.redeliver(msg, at); });
-  e.deferred.clear(dir_.msg_pool(line));
+  e.deferred.clear(dir_.msg_pool());
 }
 
 // ---- Message dispatch --------------------------------------------------------
@@ -295,7 +295,7 @@ Cycle MsiBase::home_read(const Message& msg, Cycle start) {
   const NodeId req = msg.src;
   DirEntry& e = dir_.entry(msg.line);
   if (e.busy) {
-    e.deferred.push_back(msg, dir_.msg_pool(msg.line));
+    e.deferred.push_back(msg, dir_.msg_pool());
     return 1;
   }
   switch (e.state) {
@@ -343,7 +343,7 @@ Cycle MsiBase::home_write(const Message& msg, Cycle start) {
   const NodeId req = msg.src;
   DirEntry& e = dir_.entry(msg.line);
   if (e.busy) {
-    e.deferred.push_back(msg, dir_.msg_pool(msg.line));
+    e.deferred.push_back(msg, dir_.msg_pool());
     return 1;
   }
   // An upgrade only remains an upgrade if the requester still holds a copy.
@@ -440,7 +440,7 @@ Cycle MsiBase::home_writeback(const Message& msg, Cycle start) {
       send(std::max(mem, start + dir_cost()), MsgKind::kReadExReply, home, req,
            msg.line, line_bytes());
     }
-    unbusy_and_replay(e, msg.line, start + dir_cost());
+    unbusy_and_replay(e, start + dir_cost());
     return dir_cost();
   }
 
@@ -459,11 +459,11 @@ Cycle MsiBase::home_sharing_wb(const Message& msg, Cycle start) {
   const NodeId owner = msg.src;
   DirEntry& e = dir_.entry(msg.line);
   dram_line(home, msg.line, start, /*write=*/true);
-  assert(e.busy && e.pending_kind == MsgKind::kFwdReadReq);
+  require_forward(e, MsgKind::kFwdReadReq, msg);
   e.state = DirState::kShared;
   e.writers = 0;
   e.sharers |= proc_bit(owner) | proc_bit(e.pending_requester);
-  unbusy_and_replay(e, msg.line, start + dir_cost());
+  unbusy_and_replay(e, start + dir_cost());
   return dir_cost();
 }
 
@@ -473,12 +473,12 @@ Cycle MsiBase::home_inval_ack(const Message& msg, Cycle start) {
 
   if (msg.tag == kTagOwnershipXfer) {
     // 3-hop dirty transfer complete: data went owner -> requester directly.
-    assert(e.busy && e.pending_kind == MsgKind::kFwdReadExReq);
+    require_forward(e, MsgKind::kFwdReadExReq, msg);
     const NodeId req = e.pending_requester;
     e.state = DirState::kDirty;
     e.sharers = proc_bit(req);
     e.writers = proc_bit(req);
-    unbusy_and_replay(e, msg.line, start + cost);
+    unbusy_and_replay(e, start + cost);
     return cost;
   }
 
@@ -507,7 +507,7 @@ Cycle MsiBase::home_inval_ack(const Message& msg, Cycle start) {
       send(std::max(mem, start + cost), MsgKind::kReadExReply, home, req,
            msg.line, line_bytes());
     }
-    unbusy_and_replay(e, msg.line, start + cost);
+    unbusy_and_replay(e, start + cost);
     return cost;
   }
 
@@ -524,7 +524,7 @@ Cycle MsiBase::home_inval_ack(const Message& msg, Cycle start) {
     e.state = DirState::kDirty;
     e.sharers = proc_bit(req);
     e.writers = proc_bit(req);
-    unbusy_and_replay(e, msg.line, start + cost);
+    unbusy_and_replay(e, start + cost);
   }
   return cost;
 }
@@ -578,7 +578,7 @@ Cycle MsiBase::node_fill(const Message& msg, Cycle start) {
   const NodeId p = msg.dst;
   auto& cpu = m_.cpu(p);
   cache::OtEntry* e = cpu.ot().find(msg.line);
-  assert(e != nullptr && "data reply without outstanding transaction");
+  if (!e) handler_error(msg, "data reply without outstanding transaction");
   const Cycle fill = bus_fill_cost();
   const Cycle done = start + fill;
 
@@ -602,7 +602,7 @@ Cycle MsiBase::node_upgrade_ack(const Message& msg, Cycle start) {
   auto& cpu = m_.cpu(p);
   const Cycle cost = params().dir_update_cost;
   cache::OtEntry* e = cpu.ot().find(msg.line);
-  assert(e != nullptr && "upgrade ack without outstanding transaction");
+  if (!e) handler_error(msg, "upgrade ack without outstanding transaction");
   cache::CacheLine* cl = cpu.dcache().find(msg.line);
   if (cl == nullptr) {
     // Our read-only copy was evicted while the upgrade was in flight; we

@@ -63,7 +63,16 @@ class MsiBase : public ProtocolBase {
   /// write-through variant streams words to memory instead).
   virtual void commit_write(NodeId p, LineId line, WordMask words);
 
-  void unbusy_and_replay(DirEntry& e, LineId line, Cycle at);
+  void unbusy_and_replay(DirEntry& e, Cycle at);
+
+  /// Throws ProtocolError unless the home has a `kind` forward in flight
+  /// on `e`: a response that completes a forward must find it pending.
+  static void require_forward(const DirEntry& e, mesh::MsgKind kind,
+                              const mesh::Message& msg) {
+    if (!e.busy || e.pending_kind != kind) {
+      handler_error(msg, "forward response with no forward pending");
+    }
+  }
 };
 
 /// Sequential consistency: every access stalls until globally performed.

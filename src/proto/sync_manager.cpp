@@ -10,11 +10,7 @@ namespace lrc::proto {
 using mesh::Message;
 using mesh::MsgKind;
 
-SyncManager::SyncManager(core::Machine& m)
-    : m_(m),
-      locks_(m.nprocs()),
-      barriers_(m.nprocs()),
-      stats_(m.nprocs()) {}
+SyncManager::SyncManager(core::Machine& m) : m_(m) {}
 
 NodeId SyncManager::home_of(SyncId s) const {
   return static_cast<NodeId>(s % m_.nprocs());
@@ -60,8 +56,8 @@ Cycle SyncManager::handle(const Message& msg, Cycle start) {
   const Cycle done = start + cost;
   switch (msg.kind) {
     case MsgKind::kLockReq: {
-      LockState& l = locks_[msg.dst][msg.sync];
-      SyncStats& st = stats_[msg.dst];
+      LockState& l = locks_[msg.sync];
+      SyncStats& st = stats_;
       ++st.lock_requests;
       if (!l.held) {
         l.held = true;
@@ -81,7 +77,7 @@ Cycle SyncManager::handle(const Message& msg, Cycle start) {
       break;
     }
     case MsgKind::kLockRel: {
-      LockState& l = locks_[msg.dst][msg.sync];
+      LockState& l = locks_[msg.sync];
       assert(l.held && l.holder == msg.src && "unlock of lock not held");
       if (l.waiters.empty()) {
         l.held = false;
@@ -99,17 +95,17 @@ Cycle SyncManager::handle(const Message& msg, Cycle start) {
       break;
     }
     case MsgKind::kLockGrant: {
-      m_.note_lock_acquire(msg.dst);
-      ++stats_[msg.dst].lock_grants;
+      m_.note_lock_acquire();
+      ++stats_.lock_grants;
       if (on_lock_granted) on_lock_granted(msg.dst, msg.sync, done);
       break;
     }
     case MsgKind::kBarrierArrive: {
-      ++stats_[msg.dst].barrier_arrivals;
-      BarrierState& b = barriers_[msg.dst][msg.sync];
+      ++stats_.barrier_arrivals;
+      BarrierState& b = barriers_[msg.sync];
       if (++b.arrived == m_.nprocs()) {
         b.arrived = 0;
-        m_.note_barrier_episode(msg.dst);
+        m_.note_barrier_episode();
         for (NodeId p = 0; p < m_.nprocs(); ++p) {
           Message rel;
           rel.kind = MsgKind::kBarrierRelease;
@@ -134,27 +130,13 @@ Cycle SyncManager::handle(const Message& msg, Cycle start) {
 }
 
 bool SyncManager::lock_held(SyncId s) const {
-  const auto& home = locks_[home_of(s)];
-  auto it = home.find(s);
-  return it != home.end() && it->second.held;
+  auto it = locks_.find(s);
+  return it != locks_.end() && it->second.held;
 }
 
 std::size_t SyncManager::lock_queue_len(SyncId s) const {
-  const auto& home = locks_[home_of(s)];
-  auto it = home.find(s);
-  return it == home.end() ? 0 : it->second.waiters.size();
-}
-
-SyncStats SyncManager::stats() const {
-  SyncStats total;
-  for (const SyncStats& s : stats_) {
-    total.lock_requests += s.lock_requests;
-    total.lock_grants += s.lock_grants;
-    total.queued_requests += s.queued_requests;
-    total.max_queue = std::max(total.max_queue, s.max_queue);
-    total.barrier_arrivals += s.barrier_arrivals;
-  }
-  return total;
+  auto it = locks_.find(s);
+  return it == locks_.end() ? 0 : it->second.waiters.size();
 }
 
 }  // namespace lrc::proto

@@ -9,7 +9,6 @@
 #include <deque>
 #include <functional>
 #include <unordered_map>
-#include <vector>
 
 #include "mesh/message.hpp"
 #include "sim/types.hpp"
@@ -55,13 +54,10 @@ class SyncManager {
   std::function<void(NodeId p, SyncId s, Cycle t)> on_lock_granted;
   std::function<void(NodeId p, SyncId s, Cycle t)> on_barrier_released;
 
-  // Introspection for tests and reports. stats() sums the per-node rows in
-  // node order (max_queue merges with max), so sharded totals are
-  // bit-identical to a serial run's single accumulator.
+  // Introspection for tests and reports.
   bool lock_held(SyncId s) const;
   std::size_t lock_queue_len(SyncId s) const;
-  SyncStats stats() const;
-  const SyncStats& node_stats(NodeId n) const { return stats_[n]; }
+  const SyncStats& stats() const { return stats_; }
 
  private:
   struct LockState {
@@ -74,16 +70,13 @@ class SyncManager {
   };
 
   core::Machine& m_;
-  // Lock/barrier state is partitioned by home node (home_of(s) is the only
-  // node that ever touches variable s's entry), and counters by acting
-  // node, so sharded runs mutate only shard-local rows.
   // det-lint: ok(keyed access only — nothing ever iterates these maps, so
   //   their unspecified order cannot reach stats or reports; values hold a
   //   deque, which FlatMap's trivially-copyable constraint rules out)
-  std::vector<std::unordered_map<SyncId, LockState>> locks_;    // [home]
+  std::unordered_map<SyncId, LockState> locks_;
   // det-lint: ok(keyed access only, never iterated; see locks_ above)
-  std::vector<std::unordered_map<SyncId, BarrierState>> barriers_;  // [home]
-  std::vector<SyncStats> stats_;  // [acting node]
+  std::unordered_map<SyncId, BarrierState> barriers_;
+  SyncStats stats_;
 };
 
 }  // namespace lrc::proto

@@ -46,7 +46,6 @@ void Engine::drop_pending() {
 }
 
 void Engine::enqueue(Event* ev, Cycle when) {
-  assert(!keyed_ && "keyed engines must use the *_keyed schedule calls");
   assert(when >= now_ && "cannot schedule events in the past");
   if (when < now_) {
     // Release builds: clamp to now. The event still runs after everything
@@ -61,28 +60,6 @@ void Engine::enqueue(Event* ev, Cycle when) {
   ev->next_ = nullptr;
   if (when - base_ < kBuckets) {
     bucket_append(ev);
-    ++ring_count_;
-  } else {
-    push_overflow(ev);
-    ++stats_.overflow_events;
-  }
-  ++pending_count_;
-  if (pending_count_ > stats_.max_pending) stats_.max_pending = pending_count_;
-}
-
-void Engine::enqueue_keyed(Event* ev, Cycle when, std::uint64_t key) {
-  assert(keyed_ && "enqueue_keyed requires set_keyed(true)");
-  assert(when >= now_ && "cannot schedule events in the past");
-  if (when < now_) {
-    ++stats_.past_violations;
-    when = now_;
-  }
-  ev->when_ = when;
-  ev->seq_ = key;
-  ev->pending_ = true;
-  ev->next_ = nullptr;
-  if (when - base_ < kBuckets) {
-    bucket_insert_sorted(ev);
     ++ring_count_;
   } else {
     push_overflow(ev);
@@ -109,36 +86,6 @@ void Engine::bucket_append(Event* ev) {
   b.tail = ev;
 }
 
-void Engine::bucket_insert_sorted(Event* ev) {
-  Bucket& b = ring_[ev->when_ & kBucketMask];
-  assert(b.tail == nullptr || b.tail->when_ == ev->when_);
-  if (b.head == nullptr) {
-    b.head = b.tail = ev;
-    occ_set(ev->when_ & kBucketMask);
-    return;
-  }
-  // Keyed mode: keys arrive in arbitrary order (they encode structural
-  // coordinates, not schedule order), so place the event by ascending key.
-  // Chains are short — a handful of same-cycle events per shard.
-  if (b.tail->seq_ < ev->seq_) {  // common case: largest key so far
-    b.tail->next_ = ev;
-    b.tail = ev;
-    return;
-  }
-  if (ev->seq_ < b.head->seq_) {
-    ev->next_ = b.head;
-    b.head = ev;
-    return;
-  }
-  Event* prev = b.head;
-  while (prev->next_ != nullptr && prev->next_->seq_ < ev->seq_) {
-    prev = prev->next_;
-  }
-  assert(prev->next_ == nullptr || prev->next_->seq_ != ev->seq_);
-  ev->next_ = prev->next_;
-  prev->next_ = ev;
-}
-
 void Engine::push_overflow(Event* ev) {
   overflow_.push_back(ev);
   std::push_heap(overflow_.begin(), overflow_.end(), OverflowAfter{});
@@ -149,11 +96,7 @@ void Engine::migrate_overflow() {
     std::pop_heap(overflow_.begin(), overflow_.end(), OverflowAfter{});
     Event* ev = overflow_.back();
     overflow_.pop_back();
-    if (keyed_) {
-      bucket_insert_sorted(ev);
-    } else {
-      bucket_append(ev);
-    }
+    bucket_append(ev);
     ++ring_count_;
   }
 }
@@ -251,38 +194,6 @@ Event* Engine::pop_arbitrated(Bucket& b) {
   --ring_count_;
   --pending_count_;
   return ev;
-}
-
-Cycle Engine::next_when() const {
-  if (pending_count_ == 0) return kNever;
-  Cycle best = kNever;
-  if (ring_count_ > 0) {
-    const Bucket& b = ring_[base_ & kBucketMask];
-    // Single-lap invariant: a non-empty bucket at the scan front holds
-    // exactly the timestamp base_.
-    best = b.head != nullptr ? b.head->when_ : next_occupied(base_);
-  }
-  if (!overflow_.empty() && overflow_.front()->when() < best) {
-    best = overflow_.front()->when();
-  }
-  return best;
-}
-
-std::size_t Engine::run_until(Cycle end) {
-  stopped_ = false;
-  std::size_t n = 0;
-  while (!stopped_) {
-    if (pending_count_ == 0 || next_when() >= end) break;
-    Event* ev = pop_min();
-    now_ = ev->when_;
-    cur_seq_ = ev->seq_;
-    ev->pending_ = false;
-    ++stats_.executed;
-    ev->fire(now_);
-    release(ev);
-    ++n;
-  }
-  return n;
 }
 
 void Engine::run() {

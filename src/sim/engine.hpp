@@ -129,50 +129,6 @@ class Engine {
     enqueue(&ev, when);
   }
 
-  // ---- Keyed mode (parallel shards; see src/sim/shard.hpp) ---------------
-  // In keyed mode the caller supplies the tie-break id instead of the
-  // engine assigning schedule order: equal-time events fire in ascending
-  // key order, which a sharded run derives from structural coordinates
-  // (destination node, origin node, per-origin counter) so the total event
-  // order — and therefore every statistic — is invariant under the number
-  // of shards and under host-thread interleaving. Keyed and sequential
-  // scheduling must not be mixed on one engine.
-
-  /// Enables keyed scheduling (sorted bucket insertion). Call before any
-  /// event is scheduled.
-  void set_keyed(bool on) {
-    assert(pending_count_ == 0);
-    keyed_ = on;
-  }
-  bool keyed() const { return keyed_; }
-
-  template <typename T, typename... Args>
-  T* schedule_make_keyed(Cycle when, std::uint64_t key, Args&&... args) {
-    static_assert(std::is_base_of_v<Event, T>);
-    static_assert(alignof(T) <= alignof(std::max_align_t));
-    std::uint8_t slot = 0;
-    void* mem = pool_alloc(sizeof(T), slot);
-    T* ev = new (mem) T(std::forward<Args>(args)...);
-    static_cast<Event*>(ev)->slot_ = slot;
-    enqueue_keyed(ev, when, key);
-    return ev;
-  }
-
-  void schedule_external_keyed(Cycle when, std::uint64_t key, Event& ev) {
-    assert(!ev.pending_ && "external event already scheduled");
-    ev.slot_ = kExternalSlot;
-    enqueue_keyed(&ev, when, key);
-  }
-
-  /// Time of the earliest pending event, or kNever when the queue is
-  /// empty. Does not advance the scan front.
-  Cycle next_when() const;
-
-  /// Runs events whose time is strictly below `end` (or until stop());
-  /// returns the number executed. Events scheduled at >= end while running
-  /// stay queued for a later window.
-  std::size_t run_until(Cycle end);
-
   /// Runs events until the queue is empty or `stop()` is called.
   void run();
 
@@ -290,10 +246,7 @@ class Engine {
 
   /// Guard + key assignment + insert. Clamp past times (assert in debug).
   void enqueue(Event* ev, Cycle when);
-  /// Keyed-mode insert: caller-supplied tie-break key, sorted placement.
-  void enqueue_keyed(Event* ev, Cycle when, std::uint64_t key);
   void bucket_append(Event* ev);
-  void bucket_insert_sorted(Event* ev);
   void push_overflow(Event* ev);
   /// Moves overflow events whose time entered the horizon into the ring.
   void migrate_overflow();
@@ -347,7 +300,6 @@ class Engine {
   Cycle now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t cur_seq_ = 0;
-  bool keyed_ = false;
   bool stopped_ = false;
   EngineStats stats_;
 

@@ -103,8 +103,8 @@ void Fiber::resume() {
   g_current = this;
   started_ = true;
 #ifdef LRC_FIBER_TSAN
-  // Refreshed per resume: sharded runs drive each fiber from its shard's
-  // worker thread, not necessarily the thread that constructed it.
+  // Refreshed per resume: the caller is whichever host thread drives the
+  // machine (a --jobs worker), not necessarily the one that built the fiber.
   tsan_caller_ = __tsan_get_current_fiber();
   __tsan_switch_to_fiber(tsan_fiber_, 0);
 #endif
@@ -140,8 +140,10 @@ Fiber::Fiber(std::function<void()> fn, std::size_t stack_bytes)
 }
 
 Fiber::~Fiber() {
-  // A fiber destroyed while suspended simply abandons its stack; the
-  // engine guarantees all program fibers run to completion before teardown.
+  // A fiber destroyed while suspended simply abandons its stack: no
+  // destructor on it runs. That happens only when a run unwinds mid-flight;
+  // core::Cpu then releases the protocol op it was driving, whose coroutine
+  // frames live on the heap.
 #ifdef LRC_FIBER_TSAN
   __tsan_destroy_fiber(tsan_fiber_);
 #endif

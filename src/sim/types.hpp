@@ -23,7 +23,6 @@ using LineId = std::uint64_t;
 using SyncId = std::uint32_t;
 
 inline constexpr NodeId kInvalidNode = std::numeric_limits<NodeId>::max();
-inline constexpr Cycle kNever = std::numeric_limits<Cycle>::max();
 
 /// Maximum processor count supported by the bitmask-based directory.
 inline constexpr unsigned kMaxProcs = 64;

@@ -12,7 +12,6 @@
 
 #include <array>
 #include <cstdint>
-#include <mutex>
 #include <string_view>
 #include <vector>
 
@@ -75,13 +74,6 @@ class MissClassifier {
   const MissCounts& counts(NodeId proc) const { return per_proc_[proc]; }
   MissCounts aggregate() const;
 
-  /// Sharded runs (DESIGN.md §10) serialize the classifier with a mutex:
-  /// the global write stamp and word tables are cross-node by design, so
-  /// they cannot be partitioned. Stamp order then depends on host-thread
-  /// interleaving, which is why miss-class counts are *excluded* from the
-  /// sharded determinism digest (totals per class stay close, not exact).
-  void set_concurrent(bool on) { concurrent_ = on; }
-
  private:
   struct WordInfo {
     NodeId writer = kInvalidNode;
@@ -105,8 +97,6 @@ class MissClassifier {
   // across another map operation).
   unsigned nprocs_;
   unsigned words_per_line_;
-  bool concurrent_ = false;  // see set_concurrent()
-  std::mutex mu_;            // guards everything below when concurrent_
   std::uint64_t stamp_ = 0;
   util::FlatMap<std::uint32_t> word_index_;  // line -> block number
   std::vector<WordInfo> word_info_;  // block b at [b*wpl, (b+1)*wpl)

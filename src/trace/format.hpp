@@ -50,8 +50,7 @@ enum class Op : std::uint8_t {
 
 enum class Codec : std::uint8_t {
   kRaw = 0,
-  kLrz = 1,   // in-house LZ77 (trace/codec.hpp); always available
-  kZstd = 2,  // only when the build found libzstd
+  kLrz = 1,  // in-house LZ77 (trace/codec.hpp)
 };
 
 /// Malformed or unreadable trace input. The message always carries the

@@ -73,17 +73,10 @@ void CaptureLog::flush_block(Stream& s) {
   const std::uint8_t* payload = raw;
   std::size_t payload_len = raw_len;
 
-  std::size_t c = zstd_available()
-                      ? zstd_compress(raw, raw_len, s.comp.data(),
-                                      s.comp.size())
-                      : 0;
+  const std::size_t c =
+      lrz_compress(raw, raw_len, s.comp.data(), s.comp.size());
   if (c != 0 && c < raw_len) {
-    codec = Codec::kZstd;
-  } else {
-    c = lrz_compress(raw, raw_len, s.comp.data(), s.comp.size());
-    if (c != 0 && c < raw_len) codec = Codec::kLrz;
-  }
-  if (codec != Codec::kRaw) {
+    codec = Codec::kLrz;
     payload = s.comp.data();
     payload_len = c;
   }

@@ -1,5 +1,5 @@
-// Shared FNV-1a digests over core::Report, used by the determinism, PDES,
-// and trace-replay equivalence tests. Any divergence between two runs — a
+// Shared FNV-1a digest over core::Report, used by the determinism and
+// trace-replay equivalence tests. Any divergence between two runs — a
 // single cycle, one extra message — changes the digest.
 #pragma once
 
@@ -31,9 +31,8 @@ class Digest {
   std::uint64_t h_ = 14695981039346656037ull;
 };
 
-/// Every counter a Report carries. Pins serial (shards == 0) runs, where
-/// the legacy engine's event order makes each field a pure function of
-/// (app, protocol, seed, parameters).
+/// Every counter a Report carries. The engine's event order makes each
+/// field a pure function of (app, protocol, seed, parameters).
 inline std::uint64_t report_digest(const core::Report& r) {
   Digest d;
   d.mix(r.protocol);
@@ -78,55 +77,6 @@ inline std::uint64_t report_digest(const core::Report& r) {
   d.mix(r.sync.max_queue);
   d.mix(r.sync.barrier_arrivals);
   d.mix(r.sched_past_violations);
-  d.mix(r.events_executed);
-  return d.value();
-}
-
-/// The deterministic subset for sharded (shards >= 1) runs. Excluded by
-/// design (see tests/test_pdes.cpp):
-///  - miss_classes: the classifier keeps one global access stamp, so class
-///    attribution depends on the wall-clock interleaving of threads;
-///  - nic.batched_arrivals: arrival batching is a scheduling-order
-///    heuristic, and cross-shard mailbox drains can batch differently;
-///  - stall histogram buckets: omitted conservatively; the aggregate
-///    count/sum/max per category are pinned.
-inline std::uint64_t sharded_report_digest(const core::Report& r) {
-  Digest d;
-  d.mix(r.nprocs);
-  d.mix(r.execution_time);
-  for (auto c : r.breakdown.cycles) d.mix(c);
-  for (const auto& b : r.per_cpu)
-    for (auto c : b.cycles) d.mix(c);
-  for (const auto& h : r.stall_hist) {
-    d.mix(h.count());
-    d.mix(h.sum());
-    d.mix(h.max());
-  }
-  d.mix(r.cache.read_hits);
-  d.mix(r.cache.read_misses);
-  d.mix(r.cache.write_hits);
-  d.mix(r.cache.write_misses);
-  d.mix(r.cache.upgrade_misses);
-  d.mix(r.cache.evictions);
-  d.mix(r.cache.invalidations);
-  d.mix(r.nic.messages);
-  d.mix(r.nic.control_messages);
-  d.mix(r.nic.data_messages);
-  d.mix(r.nic.payload_bytes);
-  d.mix(r.nic.send_contention);
-  d.mix(r.nic.recv_contention);
-  d.mix(r.dram.reads);
-  d.mix(r.dram.writes);
-  d.mix(r.dram.bytes);
-  d.mix(r.dram.contention);
-  d.mix(r.dram.busy);
-  d.mix(r.lock_acquires);
-  d.mix(r.barrier_episodes);
-  d.mix(r.sync.lock_requests);
-  d.mix(r.sync.lock_grants);
-  d.mix(r.sync.queued_requests);
-  d.mix(r.sync.max_queue);
-  d.mix(r.sync.barrier_arrivals);
   d.mix(r.events_executed);
   return d.value();
 }

@@ -2,6 +2,8 @@
 // computation under every protocol at test scale.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "apps/app.hpp"
 #include "core/machine.hpp"
 
@@ -14,6 +16,12 @@ struct Case {
   const char* app;
   ProtocolKind kind;
 };
+
+// Prints "<app>/<protocol>"; gtest's default byte dump would include the
+// `app` pointer, which differs between runs.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << c.app << "/" << core::to_string(c.kind);
+}
 
 std::string case_name(const ::testing::TestParamInfo<Case>& info) {
   std::string n = std::string(info.param.app) + "_" +

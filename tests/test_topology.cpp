@@ -44,8 +44,8 @@ TEST(Topology, SingleNode) {
 TEST(Topology, RejectsInvalidSizes) {
   EXPECT_THROW(Topology(0), std::invalid_argument);
   EXPECT_THROW(Topology(Topology::kMaxNodes + 1), std::invalid_argument);
-  // Above kMaxProcs is fine for the topology itself (the sharded-engine
-  // scaling benches build meshes beyond the protocol's bitmask limit).
+  // Above kMaxProcs is fine for the topology itself; only the protocols'
+  // bitmask directory caps the processor count.
   EXPECT_NO_THROW(Topology(65));
   EXPECT_NO_THROW(Topology(Topology::kMaxNodes));
 }

@@ -6,14 +6,9 @@
 // processor's workload stream exactly and every protocol op is the same
 // CpuOp coroutine the fiber front end drives.
 //
-//  * Serial replay (shards = 0) uses the same legacy engine as the
-//    captured run: the FULL report digest must match, for every litmus
-//    program, every protocol, several seeds, and for fft at 64 nodes.
-//  * Sharded replay (shards >= 1) uses the keyed engine, which is
-//    bit-identical across shard counts but not to the legacy engine; a
-//    replayed trace must match a native fiber run at the same shard count
-//    (possible only for programs whose access stream is schedule-
-//    independent, i.e. no RIF), and must be shard-count invariant for all.
+//  * Replay runs on the same engine as the captured run: the FULL report
+//    digest must match, for every litmus program, every protocol, several
+//    seeds, and for fft at 64 nodes.
 //  * Malformed traces (bad magic, flipped bits, truncation) fail with a
 //    TraceError naming the file and block — never UB.
 #include <gtest/gtest.h>
@@ -57,18 +52,6 @@ std::vector<std::string> corpus_files() {
   return files;
 }
 
-// RIF reads are conditional on a host register, so the executed access
-// stream depends on the schedule; a trace captured under one engine need
-// not match a native run under the other.
-bool schedule_independent(const LitmusProgram& prog) {
-  for (const auto& ops : prog.code) {
-    for (const LitmusOp& op : ops) {
-      if (op.kind == LitmusOp::kReadIf) return false;
-    }
-  }
-  return true;
-}
-
 // Fresh per-test scratch directory under the gtest temp root.
 std::string scratch_dir(const std::string& leaf) {
   const std::string dir = ::testing::TempDir() + "lrc_trace_" + leaf;
@@ -76,15 +59,12 @@ std::string scratch_dir(const std::string& leaf) {
   return dir;
 }
 
-// Runs the program and returns the post-run Report digest (full for serial
-// runs, the sharded subset otherwise).
+// Runs the program and returns the post-run Report digest.
 std::uint64_t litmus_digest(const LitmusProgram& prog, ProtocolKind kind,
                             LitmusRunOptions opts) {
   std::uint64_t d = 0;
   opts.post_run = [&](core::Machine& m) {
-    const core::Report r = m.report();
-    d = opts.shards == 0 ? testutil::report_digest(r)
-                         : testutil::sharded_report_digest(r);
+    d = testutil::report_digest(m.report());
   };
   run_litmus(prog, kind, opts);
   return d;
@@ -92,7 +72,7 @@ std::uint64_t litmus_digest(const LitmusProgram& prog, ProtocolKind kind,
 
 // ---- Whole-corpus round trips ----------------------------------------------
 
-// Serial capture -> serial replay: full digest equality for every program,
+// Capture -> replay: full digest equality for every program,
 // protocol, and seed.
 TEST(TraceReplay, LitmusCorpusBitIdentical) {
   const auto files = corpus_files();
@@ -123,65 +103,6 @@ TEST(TraceReplay, LitmusCorpusBitIdentical) {
         EXPECT_EQ(meta.protocol, core::to_string(kind));
         EXPECT_EQ(meta.seed, seed);
       }
-    }
-  }
-  std::filesystem::remove_all(dir);
-}
-
-// A serially-captured trace replayed under the keyed engine must match a
-// native fiber run at the same shard count — for programs whose stream is
-// a pure function of program order.
-TEST(TraceReplay, ShardedReplayMatchesShardedFiber) {
-  const std::string dir = scratch_dir("shard_fiber");
-  for (const auto& f : corpus_files()) {
-    const LitmusProgram prog = LitmusProgram::parse_file(f);
-    if (!schedule_independent(prog)) continue;
-    for (auto kind : kAllFive) {
-      const std::string cell =
-          dir + "/" + prog.name + "_" + std::string(core::to_string(kind));
-      LitmusRunOptions cap;
-      cap.seed = 1;
-      cap.capture_dir = cell;
-      run_litmus(prog, kind, cap);
-
-      LitmusRunOptions fib4;
-      fib4.seed = 1;
-      fib4.shards = 4;
-      const std::uint64_t fiber = litmus_digest(prog, kind, fib4);
-
-      LitmusRunOptions rep4;
-      rep4.shards = 4;
-      rep4.replay_dir = cell;
-      const std::uint64_t replay = litmus_digest(prog, kind, rep4);
-      EXPECT_EQ(replay, fiber)
-          << prog.name << " / " << core::to_string(kind) << " shards=4";
-    }
-  }
-  std::filesystem::remove_all(dir);
-}
-
-// Replay at different shard counts is bit-identical for EVERY program —
-// the trace fixes the stream, so even schedule-dependent programs replay
-// deterministically.
-TEST(TraceReplay, ReplayShardCountInvariant) {
-  const std::string dir = scratch_dir("shard_inv");
-  for (const auto& f : corpus_files()) {
-    const LitmusProgram prog = LitmusProgram::parse_file(f);
-    for (auto kind : kAllFive) {
-      const std::string cell =
-          dir + "/" + prog.name + "_" + std::string(core::to_string(kind));
-      LitmusRunOptions cap;
-      cap.seed = 2;
-      cap.capture_dir = cell;
-      run_litmus(prog, kind, cap);
-
-      LitmusRunOptions rep;
-      rep.replay_dir = cell;
-      rep.shards = 1;
-      const std::uint64_t one = litmus_digest(prog, kind, rep);
-      rep.shards = 4;
-      const std::uint64_t four = litmus_digest(prog, kind, rep);
-      EXPECT_EQ(one, four) << prog.name << " / " << core::to_string(kind);
     }
   }
   std::filesystem::remove_all(dir);
@@ -266,7 +187,8 @@ std::string make_stream(const std::string& leaf, std::uint32_t magic,
 
 // Every failure asserts the "<file>:block <n>: <reason>" shape — the error
 // must tell the user which block of which stream is bad.
-void expect_trace_error(const std::string& path, const char* reason_substr,
+void expect_trace_error(const std::string& path,
+                        const std::string& reason_substr,
                         const std::function<void()>& body) {
   try {
     body();
@@ -299,17 +221,21 @@ TEST(TraceCorrupt, ChecksumMismatch) {
   });
 }
 
+// Codec id 2 once named an optional zstd codec; it is now as unknown as
+// any other unassigned id.
 TEST(TraceCorrupt, UnknownCodec) {
   const auto raw = raw_block(3, true);
-  const std::string path =
-      make_stream("codec", trace::kMagic, raw,
-                  trace::fnv1a32(raw.data(), raw.size()), 0x7F);
-  expect_trace_error(path, "unknown codec", [&] {
-    trace::Reader r(path);
-    trace::Record rec;
-    while (r.next(rec)) {
-    }
-  });
+  for (const std::uint8_t codec : {std::uint8_t{2}, std::uint8_t{0x7F}}) {
+    const std::string path =
+        make_stream("codec" + std::to_string(codec), trace::kMagic, raw,
+                    trace::fnv1a32(raw.data(), raw.size()), codec);
+    expect_trace_error(path, "unknown codec " + std::to_string(codec), [&] {
+      trace::Reader r(path);
+      trace::Record rec;
+      while (r.next(rec)) {
+      }
+    });
+  }
 }
 
 TEST(TraceCorrupt, TruncatedPayload) {

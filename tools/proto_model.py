@@ -16,7 +16,7 @@ Two passes over the real sources — no regex scraping of code:
 
   Pass 2 (determinism lint): walk every source under `src/` for constructs
   that can break the bit-identical-stats contract the golden digests and
-  `--shards` determinism depend on: `std::unordered_*` containers
+  `--jobs` determinism depend on: `std::unordered_*` containers
   (iteration-order hazard — use util::FlatMap/FlatSet or annotate),
   pointer-keyed ordered containers, and entropy/wall-clock calls
   (`rand`, `std::random_device`, `std::mt19937` without a derived seed,
