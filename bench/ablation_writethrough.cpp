@@ -20,23 +20,27 @@ int main(int argc, char** argv) {
 
   stats::Table table(
       {"Application", "ERC(cycles)", "ERC-WT", "LRC", "WT penalty on eager"});
-  for (const auto* app : bench::selected_apps(opt)) {
-    const auto erc = bench::run_app(*app, core::ProtocolKind::kERC, opt);
-    const auto wt = bench::run_app(*app, core::ProtocolKind::kERCWT, opt);
-    const auto lrc_r = bench::run_app(*app, core::ProtocolKind::kLRC, opt);
+  const auto apps = bench::selected_apps(opt);
+  const auto results = bench::run_matrix(
+      opt, {core::ProtocolKind::kERC, core::ProtocolKind::kERCWT,
+            core::ProtocolKind::kLRC});
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    if (!bench::row_ok(results[i])) continue;
+    const auto& erc = results[i][0];
+    const auto& wt = results[i][1];
+    const auto& lrc_r = results[i][2];
     const double e = static_cast<double>(erc.report.execution_time);
-    table.add_row({std::string(app->name),
+    table.add_row({std::string(apps[i]->name),
                    stats::Table::count(erc.report.execution_time),
                    stats::Table::fixed(wt.report.execution_time / e, 3),
                    stats::Table::fixed(lrc_r.report.execution_time / e, 3),
                    stats::Table::pct(
                        (wt.report.execution_time - e) / e, 1)});
-    std::fflush(stdout);
   }
   std::printf("%s\n", table.to_string().c_str());
   std::printf(
       "Values normalized to ERC = 1.000. Expected: ERC-WT pays write-through\n"
       "traffic without gaining laziness — the paper's argument that LRC's\n"
       "advantage is not merely its write policy.\n");
-  return 0;
+  return bench::exit_status(results);
 }

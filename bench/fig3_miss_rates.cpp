@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
       opt, {core::ProtocolKind::kERC, core::ProtocolKind::kLRC,
             core::ProtocolKind::kLRCExt});
   for (std::size_t i = 0; i < apps.size(); ++i) {
+    if (!bench::row_ok(results[i])) continue;
     const auto& erc = results[i][0];
     const auto& lrc_r = results[i][1];
     const auto& ext = results[i][2];
@@ -31,5 +32,5 @@ int main(int argc, char** argv) {
   std::printf("%s\n", table.to_string().c_str());
   std::printf(
       "Paper shape check: Lazy <= Eager for every app; Lazy-ext <= Lazy.\n");
-  return 0;
+  return bench::exit_status(results);
 }

@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
       opt, {core::ProtocolKind::kSC, core::ProtocolKind::kERC,
             core::ProtocolKind::kLRC});
   for (std::size_t i = 0; i < apps.size(); ++i) {
+    if (!bench::row_ok(results[i])) continue;
     const auto& sc = results[i][0];
     const auto& erc = results[i][1];
     const auto& lrc_r = results[i][2];
@@ -40,5 +41,5 @@ int main(int argc, char** argv) {
       "better).\nPaper shape check: LRC beats ERC by ~5-20%% where false "
       "sharing / migratory\ndata / pivot-row contention exist; roughly even "
       "on fft and cholesky.\n");
-  return 0;
+  return bench::exit_status(results);
 }

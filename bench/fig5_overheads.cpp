@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
       opt, {core::ProtocolKind::kSC, core::ProtocolKind::kERC,
             core::ProtocolKind::kLRC});
   for (std::size_t i = 0; i < apps.size(); ++i) {
+    if (!bench::row_ok(results[i])) continue;
     const auto& sc = results[i][0];
     const auto& erc = results[i][1];
     const auto& lrc_r = results[i][2];
@@ -46,5 +47,5 @@ int main(int argc, char** argv) {
       "All entries are %% of the SC protocol's aggregate cycles for that "
       "app.\nPaper shape check: LRC trades higher sync for lower read+write "
       "overhead.\n");
-  return 0;
+  return bench::exit_status(results);
 }

@@ -22,6 +22,7 @@ int main(int argc, char** argv) {
       opt, {core::ProtocolKind::kSC, core::ProtocolKind::kLRC,
             core::ProtocolKind::kLRCExt});
   for (std::size_t i = 0; i < apps.size(); ++i) {
+    if (!bench::row_ok(results[i])) continue;
     const auto& sc = results[i][0];
     const auto& lrc_r = results[i][1];
     const auto& ext = results[i][2];
@@ -38,5 +39,5 @@ int main(int argc, char** argv) {
       "Paper shape check: delaying write notices to release time HURTS on "
       "hardware\n(positive ext penalty) except on fft — a qualitative "
       "difference from software DSM.\n");
-  return 0;
+  return bench::exit_status(results);
 }

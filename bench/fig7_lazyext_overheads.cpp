@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
       opt, {core::ProtocolKind::kSC, core::ProtocolKind::kLRC,
             core::ProtocolKind::kLRCExt});
   for (std::size_t i = 0; i < apps.size(); ++i) {
+    if (!bench::row_ok(results[i])) continue;
     const auto& sc = results[i][0];
     const auto& lrc_r = results[i][1];
     const auto& ext = results[i][2];
@@ -43,5 +44,5 @@ int main(int argc, char** argv) {
   std::printf(
       "Paper shape check: LRC-ext lowers the read component but inflates "
       "sync.\n");
-  return 0;
+  return bench::exit_status(results);
 }

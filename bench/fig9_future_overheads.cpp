@@ -23,6 +23,7 @@ int main(int argc, char** argv) {
       opt, {core::ProtocolKind::kSC, core::ProtocolKind::kERC,
             core::ProtocolKind::kLRC, core::ProtocolKind::kLRCExt});
   for (std::size_t i = 0; i < apps.size(); ++i) {
+    if (!bench::row_ok(results[i])) continue;
     const auto& sc = results[i][0];
     const auto& erc = results[i][1];
     const auto& lrc_r = results[i][2];
@@ -44,5 +45,5 @@ int main(int argc, char** argv) {
     add("SC", sc.report);
   }
   std::printf("%s\n", table.to_string().c_str());
-  return 0;
+  return bench::exit_status(results);
 }

@@ -8,7 +8,6 @@
 #include <exception>
 #include <iterator>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <thread>
 
@@ -242,43 +241,54 @@ unsigned effective_jobs(const Options& opt) {
 std::vector<RunResult> run_experiments(const std::vector<Experiment>& exps,
                                        const Options& opt) {
   std::vector<RunResult> results(exps.size());
+  auto run_cell = [&](std::size_t i) {
+    try {
+      results[i] = run_app(*exps[i].app, exps[i].kind, opt);
+    } catch (const std::exception& e) {
+      results[i].error = e.what();
+    } catch (...) {
+      results[i].error = "unknown exception";
+    }
+  };
   const std::size_t jobs =
       std::min<std::size_t>(effective_jobs(opt), exps.size());
   if (jobs <= 1) {
-    for (std::size_t i = 0; i < exps.size(); ++i) {
-      results[i] = run_app(*exps[i].app, exps[i].kind, opt);
-    }
-    return results;
-  }
-
-  // Each experiment runs on a fresh Machine with the same seed derivation
-  // as the serial path, so this only changes wall-clock time, never
-  // results. Workers pull the next unclaimed index; results land at their
-  // input position.
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> failed{false};
-  std::exception_ptr error;
-  std::mutex error_mu;
-  auto worker = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= exps.size() || failed.load(std::memory_order_relaxed)) return;
-      try {
-        results[i] = run_app(*exps[i].app, exps[i].kind, opt);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mu);
-        if (!error) error = std::current_exception();
-        failed.store(true, std::memory_order_relaxed);
-        return;
+    for (std::size_t i = 0; i < exps.size(); ++i) run_cell(i);
+  } else {
+    // Each experiment runs on a fresh Machine with the same seed derivation
+    // as the serial path, so this only changes wall-clock time, never
+    // results. Workers pull the next unclaimed index; results land at
+    // their input position.
+    std::atomic<std::size_t> next{0};
+    auto worker = [&] {
+      for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+           i < exps.size();
+           i = next.fetch_add(1, std::memory_order_relaxed)) {
+        run_cell(i);
       }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(jobs);
-  for (std::size_t j = 0; j < jobs; ++j) pool.emplace_back(worker);
-  for (auto& t : pool) t.join();
-  if (error) std::rethrow_exception(error);
+    };
+    std::vector<std::thread> pool;
+    pool.reserve(jobs);
+    for (std::size_t j = 0; j < jobs; ++j) pool.emplace_back(worker);
+    for (auto& t : pool) t.join();
+  }
+  for (std::size_t i = 0; i < exps.size(); ++i) {
+    if (results[i].ok()) continue;
+    std::fprintf(stderr, "%s/%s: %s\n",
+                 std::string(exps[i].app->name).c_str(),
+                 std::string(core::to_string(exps[i].kind)).c_str(),
+                 results[i].error->c_str());
+  }
   return results;
+}
+
+bool row_ok(const std::vector<RunResult>& row) {
+  return std::all_of(row.begin(), row.end(),
+                     [](const RunResult& r) { return r.ok(); });
+}
+
+int exit_status(const std::vector<std::vector<RunResult>>& matrix) {
+  return std::all_of(matrix.begin(), matrix.end(), row_ok) ? 0 : 1;
 }
 
 std::vector<std::vector<RunResult>> run_matrix(

@@ -8,6 +8,7 @@
 //   paper  original §3 inputs, 128 KiB caches — slow on one host core
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,9 @@ core::SystemParams make_params(const Options& opt);
 struct RunResult {
   core::Report report;
   apps::AppResult app;
+  std::optional<std::string> error;  // why the cell ended early, if it did
+
+  bool ok() const { return !error; }
 };
 
 /// Runs one application under one protocol on a fresh machine.
@@ -64,7 +68,10 @@ struct Experiment {
 /// threads (each on a fresh Machine — simulations share no mutable state).
 /// Results come back in input order, and every run uses the same
 /// deterministic seed derivation as run_app, so the reports are
-/// bit-identical to a serial --jobs 1 sweep.
+/// bit-identical to a serial --jobs 1 sweep. A cell that throws ends only
+/// itself: its result carries the error, and once every cell is done each
+/// failure is printed to stderr as "<app>/<protocol>: <error>", in input
+/// order.
 std::vector<RunResult> run_experiments(const std::vector<Experiment>& exps,
                                        const Options& opt);
 
@@ -72,6 +79,14 @@ std::vector<RunResult> run_experiments(const std::vector<Experiment>& exps,
 /// result[i][j] pairs selected_apps(opt)[i] with kinds[j].
 std::vector<std::vector<RunResult>> run_matrix(
     const Options& opt, const std::vector<core::ProtocolKind>& kinds);
+
+/// True when every cell of a run_matrix row finished. The figure tables
+/// leave out the other rows: their numbers are relative to a cell that
+/// has none.
+bool row_ok(const std::vector<RunResult>& row);
+
+/// Exit status of a figure binary: 0 when every cell finished, else 1.
+int exit_status(const std::vector<std::vector<RunResult>>& matrix);
 
 /// The applications selected by the options, in paper order.
 std::vector<const apps::AppInfo*> selected_apps(const Options& opt);

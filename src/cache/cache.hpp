@@ -104,13 +104,17 @@ class Cache {
     return const_cast<Cache*>(this)->find(line);
   }
 
-  /// find() plus a recency update — the demand-access path. Identical to
-  /// find() for FIFO/random (and trivially at ways=1).
+  /// Recency update for a resident line `l` (a find() result) — what a
+  /// demand access does to replacement state. A no-op for FIFO/random.
+  void touch(CacheLine* l) {
+    if (repl_ == ReplacementKind::kLru) stamp_[l - lines_.data()] = ++tick_;
+  }
+
+  /// find() plus touch() — the demand-access path. Identical to find() for
+  /// FIFO/random (and trivially at ways=1).
   CacheLine* find_touch(LineId line) {
     CacheLine* l = find(line);
-    if (l != nullptr && repl_ == ReplacementKind::kLru) {
-      stamp_[l - lines_.data()] = ++tick_;
-    }
+    if (l != nullptr) touch(l);
     return l;
   }
 

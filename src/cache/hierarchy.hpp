@@ -76,13 +76,26 @@ class Hierarchy {
   /// into L1 (charging hit_penalty()) and may demote an L1 victim. `at`
   /// stamps any external victim the promotion displaces.
   CacheLine* lookup(LineId line, Cycle at) {
+    if (CacheLine* l = lookup_l1(line, /*need_rw=*/false)) return l;
     hit_penalty_ = 0;
-    if (CacheLine* l = l1_.find_touch(line)) {
-      ++lstats_[0].hits;
-      return l;
-    }
     if (!l2_) return nullptr;
     return lookup_l2(line, at);
+  }
+
+  /// The L1-hit part of lookup(): returns the L1 copy of `line` with
+  /// lookup()'s exact effects (recency touch, one L1 hit, hit_penalty()
+  /// reset to 0) when L1 holds it — in kReadWrite if `need_rw`. Otherwise
+  /// returns nullptr and changes nothing, so the caller can fall back to
+  /// the full lookup(). The processor front ends' hit path.
+  CacheLine* lookup_l1(LineId line, bool need_rw) {
+    CacheLine* l = l1_.find(line);
+    if (l == nullptr || (need_rw && l->state != LineState::kReadWrite)) {
+      return nullptr;
+    }
+    l1_.touch(l);
+    ++lstats_[0].hits;
+    hit_penalty_ = 0;
+    return l;
   }
 
   /// Extra hit latency of the last lookup() that hit (0 for L1 hits).

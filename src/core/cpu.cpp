@@ -18,7 +18,8 @@ Cpu::Cpu(Machine& m, NodeId id)
       cache_(m.params().cache, m.params().cache_bytes, m.params().line_bytes,
              id, m.params().seed),
       wb_(m.params().write_buffer_entries),
-      cb_(m.params().coalescing_entries) {
+      cb_(m.params().coalescing_entries),
+      quantum_(m.params().runahead_quantum) {
   resume_event_.set_mc_actor(id, /*resumes_fiber=*/true);
 }
 
@@ -70,15 +71,6 @@ void Cpu::barrier(SyncId s) {
   drive(m_.protocol().barrier(*this, s));
   LRCSIM_HOOK(m_, on_release_drained(*this, "barrier"));
   LRCSIM_HOOK(m_, on_barrier_done(id_, s));
-}
-
-void Cpu::tick(Cycle n) {
-  bd_[stats::StallKind::kCpu] += n;
-  now_ += n;
-  hits_since_yield_ += n;
-  if (hits_since_yield_ >= m_.params().runahead_quantum) {
-    quantum_yield();
-  }
 }
 
 void Cpu::schedule_quantum_resume() {

@@ -3,9 +3,9 @@
 // write buffer, coalescing buffer, outstanding-transaction table).
 //
 // Two front ends share this class. The default (fiber) front end runs
-// workload code on a fiber owned by this class: cache hits execute inline
-// (local clock bump); anything slower suspends the fiber until the protocol
-// completes the transaction through the event engine. The trace front end
+// workload code on a fiber owned by this class: an L1 hit retires through
+// Protocol::l1_hit (no op); other accesses drive a protocol op, which may
+// suspend the fiber until the event engine completes it. The trace front end
 // (trace::ReplayCpu) overrides the virtual seam — start/finished/
 // quantum_yield/resume_execution — and advances by decoding trace records
 // instead of switching a fiber; the engine-facing contract (block/poke/
@@ -83,8 +83,14 @@ class Cpu {
   }
 
   /// Advances the local clock by `n` busy (kCpu) cycles; yields to the
-  /// engine if the run-ahead quantum is exhausted.
-  void tick(Cycle n);
+  /// engine if the run-ahead quantum is exhausted. Inline: every hit and
+  /// compute record ends here.
+  void tick(Cycle n) {
+    bd_[stats::StallKind::kCpu] += n;
+    now_ += n;
+    hits_since_yield_ += n;
+    if (hits_since_yield_ >= quantum_) quantum_yield();
+  }
 
   /// Blocks the fiber, charging subsequent cycles to `k`, until a poke
   /// arrives. Callers wrap this in a `while (!condition)` loop.
@@ -189,6 +195,7 @@ class Cpu {
   stats::StallKind block_kind_ = stats::StallKind::kCpu;
   Cycle block_start_ = 0;
   Cycle hits_since_yield_ = 0;
+  const Cycle quantum_;  // SystemParams::runahead_quantum
   std::array<stats::Histogram, stats::kStallKinds> stall_hist_;
 };
 

@@ -217,7 +217,9 @@ T Cpu::read(Addr a) {
   if (AccessLog* log = m_.access_log()) {
     log->on_access(id_, /*write=*/false, a, sizeof(T));
   }
-  drive(m_.protocol().cpu_read(*this, a, sizeof(T)));
+  if (!m_.protocol().l1_hit(*this, a, sizeof(T), /*write=*/false)) {
+    drive(m_.protocol().cpu_read(*this, a, sizeof(T)));
+  }
   LRCSIM_HOOK(m_, on_read(id_, a, sizeof(T)));
   return m_.store().load<T>(a);
 }
@@ -228,7 +230,9 @@ void Cpu::write(Addr a, const T& v) {
   if (AccessLog* log = m_.access_log()) {
     log->on_access(id_, /*write=*/true, a, sizeof(T));
   }
-  drive(m_.protocol().cpu_write(*this, a, sizeof(T)));
+  if (!m_.protocol().l1_hit(*this, a, sizeof(T), /*write=*/true)) {
+    drive(m_.protocol().cpu_write(*this, a, sizeof(T)));
+  }
   LRCSIM_HOOK(m_, on_write(id_, a, sizeof(T)));
   m_.store().store(a, v);
 }

@@ -1,9 +1,9 @@
 // The processor-side protocol entry points (cpu_read, cpu_write, acquire,
 // release, barrier, fence, finalize) are C++20 stackless coroutines
-// returning a CpuOp. The blocking style of the protocol code is unchanged —
-// `while (!cond) co_await Wait{kind};` replaces `while (!cond)
-// cpu.block(kind);` — but the suspension no longer needs a fiber stack, so
-// the same protocol code serves two front ends:
+// returning a CpuOp; an L1 hit never creates one (Protocol::l1_hit). The
+// protocol code keeps its blocking style — `while (!cond) co_await
+// Wait{kind};` for `while (!cond) cpu.block(kind);` — with no fiber stack
+// needed, so the same protocol code serves two front ends:
 //
 //   * fiber mode: core::Cpu::drive() runs the op on the workload fiber,
 //     translating every Wait suspension into the classic Cpu::block();
@@ -42,8 +42,8 @@ namespace op_detail {
 // machine (one per --jobs worker), so no locking is needed; a frame
 // abandoned at machine teardown simply migrates to the destroying thread's
 // pool. The first op of each shape on a thread takes one global allocation;
-// after that the hot path (one frame per memory access) recycles — the
-// zero-allocs-per-access gate in bench/micro_trace.cpp pins this.
+// after that the hot path (one frame per access that misses L1) recycles —
+// the zero-allocs-per-access gate in bench/micro_trace.cpp pins this.
 inline constexpr std::size_t kFrameGranule = 64;
 inline constexpr std::size_t kFrameBuckets = 64;  // pooled up to ~4 KiB
 

@@ -513,4 +513,24 @@ Cycle Lrc::node_wt_ack(const Message& msg, Cycle start) {
   return 1;
 }
 
+// ---- L1-hit path ----------------------------------------------------------
+
+// The first branch of cpu_read / Lrc::cpu_write / LrcExt::cpu_write, run
+// without an op (Protocol::l1_hit).
+bool Lrc::l1_hit(core::Cpu& cpu, Addr a, std::uint32_t bytes, bool write) {
+  auto& cache = cpu.dcache();
+  const LineId line = line_of(a);
+  if (cache.lookup_l1(line, write) == nullptr) return false;
+  if (write) {
+    const WordMask words = words_of(a, bytes);
+    ++cache.stats().write_hits;
+    cb_add(cpu, line, words, cpu.now());
+    note_local_write(cpu.id(), line, words);
+  } else {
+    ++cache.stats().read_hits;
+  }
+  cpu.tick(1);
+  return true;
+}
+
 }  // namespace lrc::proto

@@ -47,6 +47,12 @@ class Lrc : public ProtocolBase {
   void evict_victim(NodeId p, const cache::CacheLine& victim,
                     Cycle at) override;
 
+  /// L1 hit of cpu_read or of LRC/LRC-ext cpu_write: a write goes to the
+  /// coalescing buffer and the virtual note_local_write, so LRC-ext delays
+  /// its notice.
+  bool l1_hit(core::Cpu& cpu, Addr a, std::uint32_t bytes,
+              bool write) override;
+
   /// Lines queued for invalidation at `p`'s next acquire (tests).
   const util::FlatSet& pending_invals(NodeId p) const {
     return pending_inval_[p];

@@ -621,4 +621,23 @@ Cycle MsiBase::node_upgrade_ack(const Message& msg, Cycle start) {
   return cost;
 }
 
+// ---- L1-hit path ----------------------------------------------------------
+
+// The first branch of cpu_read / Sc::cpu_write / Erc::cpu_write, run
+// without an op (Protocol::l1_hit).
+bool MsiBase::l1_hit(core::Cpu& cpu, Addr a, std::uint32_t bytes,
+                     bool write) {
+  auto& cache = cpu.dcache();
+  const LineId line = line_of(a);
+  if (cache.lookup_l1(line, write) == nullptr) return false;
+  if (write) {
+    ++cache.stats().write_hits;
+    commit_write(cpu.id(), line, words_of(a, bytes));
+  } else {
+    ++cache.stats().read_hits;
+  }
+  cpu.tick(1);
+  return true;
+}
+
 }  // namespace lrc::proto

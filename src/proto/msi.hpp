@@ -27,6 +27,11 @@ class MsiBase : public ProtocolBase {
   void evict_victim(NodeId p, const cache::CacheLine& victim,
                     Cycle at) override;
 
+  /// L1 hit of cpu_read or of SC/ERC cpu_write: a write commits through
+  /// the virtual commit_write, so ERC-WT streams it to its buffer.
+  bool l1_hit(core::Cpu& cpu, Addr a, std::uint32_t bytes,
+              bool write) override;
+
  protected:
   Cycle dir_cost() const { return params().erc_dir_cost; }
 

@@ -1,10 +1,10 @@
 // Coherence-protocol interface. One Protocol instance serves the whole
-// machine. The processor-side entry points return CpuOp coroutines
-// (proto/cpu_op.hpp): the op body runs in the context of whichever front
-// end drives it — the workload fiber (core::Cpu::drive) or the trace
-// replayer's event-driven decode loop — suspending at Wait whenever the
-// memory model requires the processor to stall. `handle` runs in event
-// context when a message wins the destination node's protocol processor.
+// machine. A reference first tries l1_hit, a plain call; the rest of the
+// processor side returns CpuOp coroutines (proto/cpu_op.hpp) run by the
+// front end — the workload fiber (core::Cpu::drive) or the trace
+// replayer's decode loop — suspending at Wait whenever the memory model
+// requires the processor to stall. `handle` runs in event context when a
+// message wins the destination node's protocol processor.
 #pragma once
 
 #include <memory>
@@ -69,6 +69,16 @@ class Protocol {
   /// tracked exactly. Runs in whichever context performed the fill.
   virtual void evict_victim(NodeId p, const cache::CacheLine& victim,
                             Cycle at) = 0;
+
+  /// The L1-hit path, tried by both front ends before they create a
+  /// cpu_read/cpu_write op: when `a` hits in the processor's L1 (a write
+  /// needs the line kReadWrite), performs the access exactly as the op's
+  /// first branch would — hit count, the protocol's write commit, one busy
+  /// cycle — and returns true. Otherwise returns false with no side
+  /// effect, and the caller creates the op. Plain call, no coroutine
+  /// frame; tick() may still yield for the run-ahead quantum.
+  virtual bool l1_hit(core::Cpu& cpu, Addr a, std::uint32_t bytes,
+                      bool write) = 0;
 };
 
 /// Factory used by core::Machine.

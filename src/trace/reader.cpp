@@ -84,7 +84,7 @@ bool Reader::load_block() {
   return true;
 }
 
-bool Reader::next(Record& r) {
+bool Reader::next_slow(Record& r) {
   if (done_) return false;
   if (pos_ >= raw_len_) {
     if (!load_block()) {

@@ -28,9 +28,37 @@ class Reader {
 
   /// Decodes the next record. Returns false at end-of-stream (the kEnd
   /// record); throws TraceError on malformed or truncated input.
-  bool next(Record& r);
+  ///
+  /// Inline for the common case — a read/write record lying wholly inside
+  /// the resident block (room for the longest record is left before the
+  /// block end) — and otherwise next_slow(), which decodes every record
+  /// kind, loads blocks, and raises every error. The fast path has no side
+  /// effect unless it succeeds, so a malformed varint reaches next_slow()
+  /// and fails there exactly as before.
+  bool next(Record& r) {
+    if (!done_ && pos_ + kMaxRecordBytes <= raw_len_) {
+      const std::uint8_t* p = raw_.data() + pos_;
+      const std::uint8_t hdr = p[0];
+      const Op op = static_cast<Op>(hdr & 0x07);
+      if (op == Op::kRead || op == Op::kWrite) {
+        std::uint64_t zz;
+        const std::size_t n = get_varint(p + 1, p + kMaxRecordBytes, zz);
+        if (n != 0) {
+          pos_ += 1 + n;
+          prev_addr_ = static_cast<std::uint64_t>(
+              static_cast<std::int64_t>(prev_addr_) + unzigzag(zz));
+          r.op = op;
+          r.bytes = 1u << ((hdr >> 3) & 0x07);
+          r.addr = prev_addr_;
+          return true;
+        }
+      }
+    }
+    return next_slow(r);
+  }
 
  private:
+  bool next_slow(Record& r);
   bool load_block();
 
   std::string path_;

@@ -77,10 +77,12 @@ void ReplayCpu::step_loop() {
     }
     switch (r.op) {
       case Op::kRead:
+        if (proto.l1_hit(*this, r.addr, r.bytes, /*write=*/false)) break;
         op_ = proto.cpu_read(*this, r.addr, r.bytes);
         op_active_ = true;
         break;
       case Op::kWrite:
+        if (proto.l1_hit(*this, r.addr, r.bytes, /*write=*/true)) break;
         op_ = proto.cpu_write(*this, r.addr, r.bytes);
         op_active_ = true;
         break;

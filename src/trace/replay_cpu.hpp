@@ -2,15 +2,15 @@
 // engine-facing contract (block/poke/local clock, the reusable resume
 // event) but advances by decoding the next trace record instead of
 // switching a fiber: no sim::Fiber, no asm context switch, no per-CPU
-// stack. Protocol ops are the same CpuOp coroutines the fiber front end
-// drives, stepped directly from engine events.
+// stack. An L1 hit retires through Protocol::l1_hit; other records step the
+// fiber front end's CpuOp coroutines directly from engine events.
 //
 // Timing is bit-identical to the fiber run the trace was captured from.
 // The only structural difference is the run-ahead quantum yield: a fiber
 // suspends inside tick(), the replayer defers to the end of the current
-// op. The two are indistinguishable because every protocol op's final
-// tick() is its last action (no sends or waits follow it), and the
-// deferred resume event carries the same timestamp and mode.
+// record. The two are indistinguishable because the final tick() of every
+// op and of l1_hit is its last action (no sends or waits follow it), and
+// the deferred resume event carries the same timestamp and mode.
 #pragma once
 
 #include <functional>
@@ -40,7 +40,7 @@ class ReplayCpu final : public core::Cpu {
  protected:
   void resume_execution() override { step_loop(); }
 
-  /// Defers the engine re-entry to the end of the current op (see header
+  /// Defers the engine re-entry to the end of the current record (header
   /// comment); the resume event itself is identical to the fiber path's.
   void quantum_yield() override {
     schedule_quantum_resume();

@@ -1,7 +1,8 @@
 // Unit tests for the private cache stack (cache::Hierarchy): level
 // movement (promotion / demotion), the inclusion and exclusion boundary
 // contracts, back-invalidation of inclusive victims, authority merging on
-// invalidation, and the external victim sink.
+// invalidation, the external victim sink, and lookup_l1 (the front ends'
+// L1-hit path) against lookup().
 #include "cache/hierarchy.hpp"
 
 #include <gtest/gtest.h>
@@ -191,6 +192,117 @@ TEST(Hierarchy, FindIsPureAndLookupTouches) {
   const auto l2_hits_before = h.level_stats(1).hits;
   ASSERT_NE(h.lookup(0, 5), nullptr);
   EXPECT_EQ(h.level_stats(1).hits, l2_hits_before + 1);
+}
+
+// ---- lookup_l1: the L1-hit subset of lookup() -------------------------------
+
+// A 2-way LRU L1 (so an access reorders the victims) over an inclusive L2
+// roomy enough to keep every line below: even lines all map to L1 set 0.
+CacheConfig two_way_cfg() {
+  auto cfg = CacheConfig::with_l2(2048, 4, InclusionPolicy::kInclusive);
+  cfg.l1_ways = 2;
+  return cfg;
+}
+
+void expect_same_level_stats(const Hierarchy& a, const Hierarchy& b) {
+  ASSERT_EQ(a.levels(), b.levels());
+  for (unsigned lv = 0; lv < a.levels(); ++lv) {
+    const LevelStats& x = a.level_stats(lv);
+    const LevelStats& y = b.level_stats(lv);
+    EXPECT_EQ(x.hits, y.hits) << "level " << lv;
+    EXPECT_EQ(x.fills, y.fills) << "level " << lv;
+    EXPECT_EQ(x.evictions, y.evictions) << "level " << lv;
+    EXPECT_EQ(x.invalidations, y.invalidations) << "level " << lv;
+    EXPECT_EQ(x.promotions, y.promotions) << "level " << lv;
+    EXPECT_EQ(x.demotions, y.demotions) << "level " << lv;
+    EXPECT_EQ(x.back_invals, y.back_invals) << "level " << lv;
+  }
+  EXPECT_EQ(a.stats().evictions, b.stats().evictions);
+  EXPECT_EQ(a.stats().invalidations, b.stats().invalidations);
+}
+
+std::vector<LineId> l1_lines(const Hierarchy& h) {
+  std::vector<LineId> out;
+  h.l1().for_each_valid([&](const CacheLine& cl) { out.push_back(cl.line); });
+  return out;
+}
+
+// Leaves L1 set 0 = {0 (RO, most recent), 6 (RO)} in ways {0, 1},
+// lines 2 (RO) and 4 (RW) L2-only, and hit_penalty() = the L2 hit latency.
+void warm_two_way(Hierarchy& h) {
+  h.fill(0, LineState::kReadOnly, 0);
+  h.fill(2, LineState::kReadOnly, 1);
+  h.fill(4, LineState::kReadWrite, 2);  // L1 victim: 0
+  h.fill(6, LineState::kReadOnly, 3);   // L1 victim: 2
+  ASSERT_NE(h.lookup(0, 4), nullptr);   // L2 hit; L1 victim: 4
+  ASSERT_EQ(h.hit_penalty(), two_way_cfg().l2_hit_cycles);
+}
+
+TEST(HierarchyLookupL1, MatchesLookupOnAnL1Hit) {
+  for (const bool need_rw : {false, true}) {
+    Hierarchy a(two_way_cfg(), kL1Bytes, kLine, 0, 1);
+    Hierarchy b(two_way_cfg(), kL1Bytes, kLine, 0, 1);
+    SinkRec ra, rb;
+    a.set_victim_sink(&SinkRec::record, &ra);
+    b.set_victim_sink(&SinkRec::record, &rb);
+    warm_two_way(a);
+    warm_two_way(b);
+    a.find(6)->state = LineState::kReadWrite;
+    b.find(6)->state = LineState::kReadWrite;
+
+    // Line 6 is the L1's LRU way; hitting it makes 0 the next victim.
+    CacheLine* la = a.lookup(6, 9);
+    CacheLine* lb = b.lookup_l1(6, need_rw);
+    ASSERT_NE(la, nullptr);
+    ASSERT_EQ(lb, b.l1().find(6)) << "need_rw " << need_rw;
+    EXPECT_EQ(la, a.l1().find(6));
+    EXPECT_EQ(a.hit_penalty(), 0u);
+    EXPECT_EQ(b.hit_penalty(), 0u);
+    expect_same_level_stats(a, b);
+
+    a.fill(8, LineState::kReadOnly, 10);
+    b.fill(8, LineState::kReadOnly, 10);
+    EXPECT_EQ(l1_lines(a), l1_lines(b));
+    EXPECT_EQ(l1_lines(b), (std::vector<LineId>{8, 6}));
+    expect_same_level_stats(a, b);
+    EXPECT_EQ(ra.victims.size(), rb.victims.size());
+  }
+}
+
+TEST(HierarchyLookupL1, MissLeavesEveryStatAndRecencyAlone) {
+  struct Case {
+    const char* what;
+    LineId line;
+    bool need_rw;
+  };
+  const Case cases[] = {
+      {"line absent from the node", 10, false},
+      {"line only in L2", 2, false},
+      {"write to a read-only L1 line", 6, true},
+  };
+  for (const Case& c : cases) {
+    Hierarchy ref(two_way_cfg(), kL1Bytes, kLine, 0, 1);
+    Hierarchy h(two_way_cfg(), kL1Bytes, kLine, 0, 1);
+    warm_two_way(ref);
+    warm_two_way(h);
+
+    EXPECT_EQ(h.lookup_l1(c.line, c.need_rw), nullptr) << c.what;
+    EXPECT_EQ(h.hit_penalty(), ref.hit_penalty()) << c.what;
+    expect_same_level_stats(ref, h);
+    EXPECT_EQ(l1_lines(h), l1_lines(ref)) << c.what;
+
+    // Replacement state is untouched too: the next fill displaces the same
+    // L1 victim (6, the LRU way — a touch would have made it 0) and every
+    // level matches the untouched twin afterwards.
+    ref.fill(8, LineState::kReadOnly, 9);
+    h.fill(8, LineState::kReadOnly, 9);
+    EXPECT_EQ(l1_lines(h), l1_lines(ref)) << c.what;
+    EXPECT_EQ(l1_lines(h), (std::vector<LineId>{0, 8})) << c.what;
+    ref.fill(12, LineState::kReadOnly, 10);
+    h.fill(12, LineState::kReadOnly, 10);
+    EXPECT_EQ(l1_lines(h), l1_lines(ref)) << c.what;
+    expect_same_level_stats(ref, h);
+  }
 }
 
 }  // namespace

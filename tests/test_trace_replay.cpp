@@ -8,20 +8,27 @@
 //
 //  * Replay runs on the same engine as the captured run: the FULL report
 //    digest must match, for every litmus program, every protocol, several
-//    seeds, and for fft at 64 nodes.
+//    seeds, for fft at 64 nodes, and under two-level cache stacks, where
+//    L1 hits (the front ends' l1_hit path) and L2 hits (protocol ops)
+//    interleave.
 //  * Malformed traces (bad magic, flipped bits, truncation) fail with a
-//    TraceError naming the file and block — never UB.
+//    TraceError naming the file and block — never UB. Records at a block's
+//    edge decode the same whichever Reader::next path takes them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "apps/app.hpp"
 #include "bench/harness.hpp"
+#include "cache/config.hpp"
 #include "check/litmus.hpp"
 #include "core/machine.hpp"
 #include "core/report.hpp"
@@ -29,6 +36,8 @@
 #include "trace/codec.hpp"
 #include "trace/format.hpp"
 #include "trace/reader.hpp"
+#include "trace/replay_cpu.hpp"
+#include "trace/writer.hpp"
 
 namespace lrc {
 namespace {
@@ -128,6 +137,84 @@ TEST(TraceReplay, Fft64RoundTrip) {
     EXPECT_EQ(testutil::report_digest(replay.report),
               testutil::report_digest(fiber.report))
         << "fft / " << core::to_string(kind);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// Plain fiber, capture and replay of gauss on 8 processors with a 4 KiB L1
+// over a 16 KiB private L2: the working set spills out of L1 but mostly
+// fits in L2, so L1 hits and L2 hits interleave throughout.
+core::Report run_gauss_hier(ProtocolKind kind, const cache::CacheConfig& cfg,
+                            const std::string& capture_dir,
+                            const std::string& replay_dir) {
+  auto params = core::SystemParams::paper_default(8);
+  params.cache_bytes = 4096;
+  params.cache = cfg;
+  if (!replay_dir.empty()) {
+    core::Machine m(params, kind, trace::ReplayCpu::factory(replay_dir));
+    m.run(nullptr);
+    return m.report();
+  }
+  const apps::AppInfo& app = *apps::find_app("gauss");
+  core::Machine m(params, kind);
+  std::unique_ptr<trace::CaptureLog> capture;
+  if (!capture_dir.empty()) {
+    capture = std::make_unique<trace::CaptureLog>(capture_dir, m.nprocs());
+    capture->set_meta("gauss", std::string(core::to_string(kind)), 1);
+    m.set_access_log(capture.get());
+  }
+  apps::AppConfig ac;
+  ac.n = app.test_n;
+  ac.steps = app.test_steps;
+  EXPECT_TRUE(app.run(m, ac).valid) << core::to_string(kind);
+  if (capture) capture->finish();
+  return m.report();
+}
+
+// The full digest plus the counters it leaves out: per-level movement and
+// the shared LLC.
+std::uint64_t hier_digest(const core::Report& r) {
+  testutil::Digest d;
+  d.mix(testutil::report_digest(r));
+  for (const cache::LevelStats& lv : r.cache_levels) {
+    for (auto v : {lv.hits, lv.fills, lv.evictions, lv.invalidations,
+                   lv.promotions, lv.demotions, lv.back_invals}) {
+      d.mix(v);
+    }
+  }
+  for (auto v : {r.llc.hits, r.llc.misses, r.llc.read_fills,
+                 r.llc.writeback_fills, r.llc.evictions,
+                 r.llc.remote_accesses}) {
+    d.mix(v);
+  }
+  return d.value();
+}
+
+TEST(TraceReplay, TwoLevelStacksBitIdentical) {
+  const std::string dir = scratch_dir("hier");
+  const std::pair<const char*, cache::CacheConfig> presets[] = {
+      {"l2-inclusive", cache::CacheConfig::with_l2(
+                           16 * 1024, 4, cache::InclusionPolicy::kInclusive)},
+      {"l2-exclusive+llc",
+       cache::CacheConfig::with_l2(16 * 1024, 4,
+                                   cache::InclusionPolicy::kExclusive)
+           .add_llc(16 * 1024, 4)},
+  };
+  for (const auto& [name, cfg] : presets) {
+    for (auto kind : kAllFive) {
+      const std::string cell =
+          dir + "/" + name + "_" + std::string(core::to_string(kind));
+      const core::Report fiber = run_gauss_hier(kind, cfg, "", "");
+      const core::Report captured = run_gauss_hier(kind, cfg, cell, "");
+      const core::Report replayed = run_gauss_hier(kind, cfg, "", cell);
+      ASSERT_EQ(fiber.cache_levels.size(), 2u);
+      EXPECT_GT(fiber.cache_levels[0].hits, 0u) << name;
+      EXPECT_GT(fiber.cache_levels[1].hits, 0u) << name;
+      EXPECT_EQ(hier_digest(captured), hier_digest(fiber))
+          << name << " / " << core::to_string(kind) << ": capture";
+      EXPECT_EQ(hier_digest(replayed), hier_digest(fiber))
+          << name << " / " << core::to_string(kind) << ": replay";
+    }
   }
   std::filesystem::remove_all(dir);
 }
@@ -278,6 +365,133 @@ TEST(TraceCorrupt, MissingEndRecord) {
     while (r.next(rec)) {
     }
   });
+}
+
+// ---- Records at block edges -------------------------------------------------
+
+// Encodes read/write records into one raw block as the writer does: the
+// address delta from the previous access, base 0 at the block start.
+std::vector<std::uint8_t> access_block(const std::vector<trace::Record>& recs) {
+  std::vector<std::uint8_t> raw;
+  std::uint64_t prev = 0;
+  for (const trace::Record& r : recs) {
+    raw.push_back(static_cast<std::uint8_t>(
+        static_cast<unsigned>(r.op) |
+        (static_cast<unsigned>(std::countr_zero(r.bytes)) << 3)));
+    std::uint8_t var[10];
+    const std::size_t n = trace::put_varint(
+        var, trace::zigzag(static_cast<std::int64_t>(r.addr - prev)));
+    raw.insert(raw.end(), var, var + n);
+    prev = r.addr;
+  }
+  return raw;
+}
+
+// A stream of well-formed raw-codec blocks.
+std::string make_blocks(const std::string& leaf,
+                        const std::vector<std::vector<std::uint8_t>>& blocks) {
+  const std::string dir = scratch_dir(leaf);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/" + trace::stream_name(0);
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  write_file_header(f, trace::kMagic);
+  for (const auto& raw : blocks) {
+    write_block(f, raw, trace::fnv1a32(raw.data(), raw.size()), 0);
+  }
+  std::fclose(f);
+  return path;
+}
+
+std::vector<std::uint8_t> concat(std::vector<std::uint8_t> a,
+                                 const std::vector<std::uint8_t>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+bool same_access(const trace::Record& a, const trace::Record& b) {
+  return a.op == b.op && a.bytes == b.bytes && a.addr == b.addr;
+}
+
+// Reader::next decodes a read/write inline only while the longest record
+// still fits in the block; these records sit exactly on that line and
+// past it, and must decode the same either way.
+TEST(TraceReader, AccessRecordsAtBlockEdges) {
+  using trace::Op;
+  using trace::Record;
+  // Block 0 ends with an 11-byte record (a 10-byte varint: delta 2^62)
+  // that starts exactly kMaxRecordBytes before the block end.
+  const std::vector<Record> b0 = {
+      {Op::kRead, 8, 0x1000, 0},
+      {Op::kWrite, 4, 0x1008, 0},
+      {Op::kRead, 8, 0x1008 + (1ull << 62), 0},
+  };
+  // Block 1 (delta base back to 0) is 2-byte records whose last five start
+  // within the final 11 bytes; the last one ends exactly at the block end.
+  std::vector<Record> b1;
+  for (unsigned i = 0; i < 12; ++i) {
+    b1.push_back({i % 3 == 0 ? Op::kWrite : Op::kRead, 1u << (i % 4),
+                  0x30 + 8 * i, 0});
+  }
+  const auto raw0 = access_block(b0);
+  const auto raw1 = access_block(b1);
+  ASSERT_EQ(raw0.size(), 3 + 2 + trace::kMaxRecordBytes);
+  ASSERT_EQ(raw1.size(), 2 * b1.size());
+  const std::string path =
+      make_blocks("edges", {raw0, raw1, {std::uint8_t(Op::kEnd)}});
+
+  trace::Reader rd(path);
+  std::vector<Record> want = b0;
+  want.insert(want.end(), b1.begin(), b1.end());
+  Record r;
+  for (const Record& w : want) {
+    ASSERT_TRUE(rd.next(r));
+    EXPECT_TRUE(same_access(r, w))
+        << "got op " << int(r.op) << " bytes " << r.bytes << " addr "
+        << r.addr << ", want addr " << w.addr;
+  }
+  EXPECT_FALSE(rd.next(r));
+  EXPECT_FALSE(rd.next(r));
+}
+
+// A read whose varint never terminates fails with the same located error
+// whether it is cut off by the block end or overlong inside the block.
+TEST(TraceReader, UnterminatedVarintIsTruncatedRecord) {
+  const std::uint8_t read = std::uint8_t(trace::Op::kRead) | (3u << 3);
+  const std::vector<std::uint8_t> cut = {read, 0x80, 0x80};
+  std::vector<std::uint8_t> overlong = {read};
+  overlong.insert(overlong.end(), 10, 0x80);
+  overlong.insert(overlong.end(), {0x00, std::uint8_t(trace::Op::kEnd)});
+  const std::pair<const char*, std::vector<std::uint8_t>> cases[] = {
+      {"varint_cut", concat(raw_block(3, false), cut)},
+      {"varint_overlong", concat(raw_block(3, false), overlong)},
+  };
+  for (const auto& [leaf, raw] : cases) {
+    const std::string path = make_blocks(leaf, {raw});
+    trace::Reader rd(path);
+    trace::Record r;
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(rd.next(r)) << leaf;
+    try {
+      rd.next(r);
+      ADD_FAILURE() << leaf << ": expected TraceError";
+    } catch (const trace::TraceError& e) {
+      EXPECT_EQ(std::string(e.what()), path + ":block 0: truncated record");
+    }
+  }
+}
+
+// Whatever follows kEnd — here well-formed read records, enough of them for
+// the inline path — is never decoded.
+TEST(TraceReader, BytesAfterEndIgnored) {
+  const std::vector<trace::Record> reads(8, {trace::Op::kRead, 8, 0x80, 0});
+  const auto raw = concat(
+      concat(access_block({reads[0]}), {std::uint8_t(trace::Op::kEnd)}),
+      access_block(reads));
+  const std::string path = make_blocks("after_end", {raw});
+  trace::Reader rd(path);
+  trace::Record r;
+  ASSERT_TRUE(rd.next(r));
+  EXPECT_TRUE(same_access(r, reads[0]));
+  for (int i = 0; i < 3; ++i) EXPECT_FALSE(rd.next(r));
 }
 
 // A corrupt stream surfaced through the replay front end (not just the raw
