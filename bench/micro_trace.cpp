@@ -2,7 +2,7 @@
 // trace capture vs fiber-free replay on the fig4 fft workload (64
 // processors, bench scale, LRC).
 //
-// Measures and gates the trace front end's three contract numbers:
+// Measures and gates the trace front end's contract numbers:
 //   * replay throughput  >= 1.10x fiber-mode accesses/sec (both serial, so
 //     the ratio is host-portable);
 //   * capture overhead   <= 1.20x the plain fiber run;
@@ -10,17 +10,25 @@
 //   * steady-state decode allocates nothing (Reader::next over every
 //     captured stream under a counting global operator new).
 //
-// Writes BENCH_trace_replay.json and exits non-zero when a gate fails, so
-// the CI bench-smoke job enforces the targets directly and
+// The three modes run interleaved, kRounds rounds of fiber, capture, replay
+// in turn, and the two timing gates use the median of the per-round
+// ratios: a host-load swing then moves both sides of a ratio together, and
+// one slow round cannot decide the gate.
+//
+// Writes BENCH_trace_replay.json (with commit, build type, compiler and
+// host-core provenance) and exits non-zero when a gate fails, so the CI
+// bench-smoke job enforces the targets directly and
 // check_bench_regression.py guards the recorded ratios against drift.
-#include <ctime>
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 #include <new>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "bench/harness.hpp"
 #include "core/report.hpp"
@@ -51,7 +59,8 @@ namespace {
 constexpr unsigned kProcs = 64;
 constexpr const char* kApp = "fft";
 constexpr core::ProtocolKind kKind = core::ProtocolKind::kLRC;
-constexpr int kRuns = 3;  // best-of-N per mode
+constexpr int kRounds = 5;  // interleaved fiber/capture/replay rounds
+static_assert(kRounds % 2 == 1, "the median is the middle round");
 
 double cpu_seconds() {
   timespec ts{};
@@ -73,18 +82,37 @@ bench::Options base_options() {
   return opt;
 }
 
-// Best-of-kRuns process-CPU seconds for one run_app configuration.
-double best_seconds(const bench::Options& opt, std::uint64_t* accesses) {
+// Process-CPU seconds of one run_app configuration.
+double run_seconds(const bench::Options& opt, std::uint64_t* accesses) {
   const auto* app = bench::selected_apps(opt).front();
-  double best = 0;
-  for (int i = 0; i < kRuns; ++i) {
-    const double t0 = cpu_seconds();
-    const auto res = bench::run_app(*app, kKind, opt);
-    const double dt = cpu_seconds() - t0;
-    if (i == 0 || dt < best) best = dt;
-    if (accesses != nullptr) *accesses = res.report.cache.references();
+  const double t0 = cpu_seconds();
+  const auto res = bench::run_app(*app, kKind, opt);
+  const double dt = cpu_seconds() - t0;
+  if (accesses != nullptr) *accesses = res.report.cache.references();
+  return dt;
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+// The source tree's commit (with "-dirty" for uncommitted changes), or
+// "unknown" outside a git checkout.
+std::string source_commit() {
+  std::string out;
+  const std::string cmd = "git -C \"" LRCSIM_SOURCE_DIR
+                          "\" describe --always --dirty --abbrev=12 "
+                          "2>/dev/null";
+  if (FILE* p = popen(cmd.c_str(), "r")) {
+    char buf[128];
+    while (std::fgets(buf, sizeof(buf), p) != nullptr) out += buf;
+    pclose(p);
   }
-  return best;
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
+    out.pop_back();
+  }
+  return out.empty() ? "unknown" : out;
 }
 
 struct DecodeStats {
@@ -128,21 +156,38 @@ int main() {
   std::printf("workload: %s, %u procs, bench scale, %s\n\n", kApp, kProcs,
               core::to_string(kKind).data());
 
-  // Fiber baseline.
+  // Interleaved rounds: each replay reads the capture made just before it.
   std::uint64_t accesses = 0;
-  bench::Options fiber_opt = base_options();
-  const double fiber_sec = best_seconds(fiber_opt, &accesses);
+  const bench::Options fiber_opt = base_options();
+  bench::Options cap_opt = base_options();
+  cap_opt.capture_dir = cap_root;
+  bench::Options rep_opt = base_options();
+  rep_opt.replay_dir = cap_root;
+  std::vector<double> fiber_s, capture_s, replay_s, overheads, speedups;
+  for (int r = 0; r < kRounds; ++r) {
+    fiber_s.push_back(run_seconds(fiber_opt, &accesses));
+    capture_s.push_back(run_seconds(cap_opt, nullptr));
+    replay_s.push_back(run_seconds(rep_opt, nullptr));
+    overheads.push_back(capture_s.back() / fiber_s.back());
+    speedups.push_back(fiber_s.back() / replay_s.back());
+    std::printf("  round %d  fiber %.4f s  capture %.4f s (%.2fx)  "
+                "replay %.4f s (%.2fx)\n",
+                r + 1, fiber_s.back(), capture_s.back(), overheads.back(),
+                replay_s.back(), speedups.back());
+  }
+  const double fiber_sec = median(fiber_s);
+  const double capture_sec = median(capture_s);
+  const double replay_sec = median(replay_s);
+  const double capture_overhead = median(overheads);
+  const double speedup = median(speedups);
+  std::printf("\n  median of %d rounds:\n", kRounds);
   std::printf("  fiber    %8.4f s  (%llu accesses, %.0f accesses/s)\n",
               fiber_sec, (unsigned long long)accesses,
               static_cast<double>(accesses) / fiber_sec);
-
-  // Capture (re-captures each run; the last capture feeds replay).
-  bench::Options cap_opt = base_options();
-  cap_opt.capture_dir = cap_root;
-  const double capture_sec = best_seconds(cap_opt, nullptr);
-  const double capture_overhead = capture_sec / fiber_sec;
   std::printf("  capture  %8.4f s  (%.2fx fiber)\n", capture_sec,
               capture_overhead);
+  std::printf("  replay   %8.4f s  (%.2fx fiber throughput)\n", replay_sec,
+              speedup);
 
   // Trace size vs the naive 13-byte/record encoding.
   std::uint64_t file_bytes = 0, records = 0;
@@ -168,26 +213,19 @@ int main() {
               (unsigned long long)dec.records, (unsigned long long)dec.allocs,
               allocs_per_access);
 
-  // Fiber-free replay.
-  bench::Options rep_opt = base_options();
-  rep_opt.replay_dir = cap_root;
-  const double replay_sec = best_seconds(rep_opt, nullptr);
-  const double speedup = fiber_sec / replay_sec;
-  std::printf("  replay   %8.4f s  (%.2fx fiber throughput)\n\n", replay_sec,
-              speedup);
-
+  std::printf("\n");
   struct Gate {
     const char* name;
     bool ok;
   } gates[] = {
-      {"replay >= 1.10x fiber", speedup >= 1.10},
-      {"capture <= 1.20x fiber", capture_overhead <= 1.20},
+      {"median replay >= 1.10x fiber", speedup >= 1.10},
+      {"median capture <= 1.20x fiber", capture_overhead <= 1.20},
       {"compressed <= 25% of naive", compression <= 0.25},
       {"decode allocs == 0", dec.allocs == 0},
   };
   bool all_ok = true;
   for (const Gate& g : gates) {
-    std::printf("  %-28s %s\n", g.name, g.ok ? "ok" : "FAIL");
+    std::printf("  %-30s %s\n", g.name, g.ok ? "ok" : "FAIL");
     all_ok = all_ok && g.ok;
   }
 
@@ -195,6 +233,12 @@ int main() {
   if (f != nullptr) {
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"bench\": \"micro_trace\",\n");
+    std::fprintf(f,
+                 "  \"provenance\": {\"commit\": \"%s\", "
+                 "\"build_type\": \"%s\", \"compiler\": \"%s\", "
+                 "\"host_cores\": %u},\n",
+                 source_commit().c_str(), LRCSIM_BUILD_TYPE, __VERSION__,
+                 std::thread::hardware_concurrency());
     std::fprintf(f, "  \"trace\": {\n");
     std::fprintf(f, "    \"host_cores\": %u,\n",
                  std::thread::hardware_concurrency());
@@ -203,6 +247,7 @@ int main() {
                  kApp, kProcs, core::to_string(kKind).data());
     std::fprintf(f, "    \"accesses\": %llu, \"records\": %llu,\n",
                  (unsigned long long)accesses, (unsigned long long)records);
+    std::fprintf(f, "    \"rounds\": %d,\n", kRounds);
     std::fprintf(f,
                  "    \"fiber_sec\": %.4f, \"capture_sec\": %.4f, "
                  "\"replay_sec\": %.4f,\n",

@@ -1,8 +1,12 @@
 #include "sim/fiber.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <cassert>
 #include <cstdint>
 #include <cstdlib>
+#include <new>
 #include <stdexcept>
 
 #ifdef LRC_FIBER_ASAN
@@ -56,6 +60,25 @@ namespace {
 thread_local Fiber* g_current = nullptr;
 }  // namespace
 
+FiberStack::FiberStack(std::size_t bytes) {
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  size_ = (bytes + page - 1) / page * page;
+  map_bytes_ = size_ + page;
+  // Private anonymous pages are zero-filled on first touch, so the mapping
+  // costs address space, not memory; MAP_NORESERVE keeps 64 fibers from
+  // charging 16 MiB of swap reservation up front.
+  map_ = mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
+              MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+  if (map_ == MAP_FAILED) throw std::bad_alloc();
+  if (mprotect(map_, page, PROT_NONE) != 0) {
+    munmap(map_, map_bytes_);
+    throw std::bad_alloc();
+  }
+  base_ = static_cast<char*>(map_) + page;
+}
+
+FiberStack::~FiberStack() { munmap(map_, map_bytes_); }
+
 #ifdef LRC_FIBER_FAST_SWITCH
 
 Fiber::Fiber(std::function<void()> fn, std::size_t stack_bytes)
@@ -67,7 +90,7 @@ Fiber::Fiber(std::function<void()> fn, std::size_t stack_bytes)
   // The return-address slot sits at a 16-byte boundary so that after the
   // ret pops it, rsp % 16 == 8 — exactly the System V alignment a function
   // sees on entry via call.
-  auto top = reinterpret_cast<std::uintptr_t>(stack_.data() + stack_.size());
+  auto top = reinterpret_cast<std::uintptr_t>(stack_.base() + stack_.size());
   top &= ~std::uintptr_t{15};
   auto* frame = reinterpret_cast<void**>(top - 16);
   *frame = reinterpret_cast<void*>(&Fiber::trampoline);
@@ -130,7 +153,7 @@ Fiber::Fiber(std::function<void()> fn, std::size_t stack_bytes)
   if (getcontext(&ctx_) != 0) {
     throw std::runtime_error("Fiber: getcontext failed");
   }
-  ctx_.uc_stack.ss_sp = stack_.data();
+  ctx_.uc_stack.ss_sp = stack_.base();
   ctx_.uc_stack.ss_size = stack_.size();
   ctx_.uc_link = &caller_;  // return to caller context on function exit
   makecontext(&ctx_, reinterpret_cast<void (*)()>(&Fiber::trampoline), 0);
@@ -180,7 +203,7 @@ void Fiber::resume() {
   started_ = true;
 #ifdef LRC_FIBER_ASAN
   void* fake = nullptr;
-  __sanitizer_start_switch_fiber(&fake, stack_.data(), stack_.size());
+  __sanitizer_start_switch_fiber(&fake, stack_.base(), stack_.size());
 #endif
 #ifdef LRC_FIBER_TSAN
   tsan_caller_ = __tsan_get_current_fiber();

@@ -11,12 +11,15 @@
 // stall — hundreds of thousands of times per run — so this matters.
 // Other architectures, and AddressSanitizer builds (where the annotated
 // ucontext path is the battle-tested one), fall back to ucontext.
+//
+// Both paths run on a FiberStack: a lazily committed mapping with a guard
+// page below it, so a 64-processor machine keeps resident only the few
+// KiB each fiber touches, and a stack overflow faults instead of
+// overwriting the heap.
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <memory>
-#include <vector>
 
 // AddressSanitizer must be told about stack switches, or its shadow-stack
 // bookkeeping misattributes frames and reports false positives.
@@ -42,14 +45,38 @@
 #endif
 #endif
 
-#if defined(__x86_64__) && !defined(LRC_FIBER_ASAN) && \
-    !defined(LRC_FIBER_FORCE_UCONTEXT)
+#if defined(__x86_64__) && !defined(LRC_FIBER_ASAN)
 #define LRC_FIBER_FAST_SWITCH 1
 #else
 #include <ucontext.h>
 #endif
 
 namespace lrc::sim {
+
+/// A fiber's stack: an anonymous private mapping (MAP_NORESERVE), so a page
+/// becomes resident only when the fiber first touches it, with one
+/// PROT_NONE guard page below the usable range, so running off the bottom
+/// raises SIGSEGV. Unmapped on destruction.
+class FiberStack {
+ public:
+  /// Maps `bytes` of stack (rounded up to whole pages) plus the guard page.
+  /// Throws std::bad_alloc when the mapping fails.
+  explicit FiberStack(std::size_t bytes);
+  ~FiberStack();
+
+  FiberStack(const FiberStack&) = delete;
+  FiberStack& operator=(const FiberStack&) = delete;
+
+  /// Lowest usable byte; the stack grows down from base() + size().
+  char* base() const { return base_; }
+  std::size_t size() const { return size_; }
+
+ private:
+  void* map_ = nullptr;  // guard page, then the usable range
+  std::size_t map_bytes_ = 0;
+  char* base_ = nullptr;
+  std::size_t size_ = 0;
+};
 
 class Fiber {
  public:
@@ -77,7 +104,7 @@ class Fiber {
   static void trampoline();
 
   std::function<void()> fn_;
-  std::vector<char> stack_;
+  FiberStack stack_;
 #ifdef LRC_FIBER_FAST_SWITCH
   void* ctx_sp_ = nullptr;     // suspended fiber's stack pointer
   void* caller_sp_ = nullptr;  // main context's stack pointer while running

@@ -5,11 +5,14 @@
 // per block), so multi-GB traces replay with one block resident per CPU.
 //
 //   file   := header block*               (the last block ends with kEnd)
-//   header := magic:u32 "LRCT" | version:u16 | reserved:u16
+//   header := magic:u32 "LRCT" | version:u16 (2) | reserved:u16
 //             | cpu:u32 | nprocs:u32      (all little-endian)
 //   block  := raw_len:u32 | comp_len:u32 | nrecords:u32
-//             | checksum:u32 (FNV-1a over the raw bytes)
+//             | checksum:u32 (FNV-1a over the comp_len stored payload
+//               bytes, checked before decompression)
 //             | codec:u8 | reserved:u8[3] | payload:u8[comp_len]
+//   (payload is the raw records for codec kRaw, where comp_len == raw_len;
+//   version 1 checksummed the decompressed bytes and is rejected.)
 //   record := hdr:u8 (op in bits 0-2; size_log2 in bits 3-5 for
 //             read/write) | payload
 //             read/write : zigzag-varint address delta from the previous
@@ -27,7 +30,7 @@
 namespace lrc::trace {
 
 inline constexpr std::uint32_t kMagic = 0x5443524Cu;  // "LRCT" little-endian
-inline constexpr std::uint16_t kVersion = 1;
+inline constexpr std::uint16_t kVersion = 2;
 inline constexpr std::size_t kFileHeaderBytes = 16;
 inline constexpr std::size_t kBlockHeaderBytes = 20;
 /// Raw (uncompressed) capacity of one block. Small enough that a reader

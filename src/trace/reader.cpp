@@ -53,29 +53,32 @@ bool Reader::load_block() {
     throw TraceError(path_, block_idx_,
                      "bad compressed length " + std::to_string(comp_len));
   }
+  // The checksum covers the stored payload, so a corrupt block is rejected
+  // before the decompressor ever sees it.
+  std::uint8_t* payload = nullptr;
   switch (static_cast<Codec>(codec)) {
     case Codec::kRaw:
       if (comp_len != raw_len) {
         throw TraceError(path_, block_idx_, "raw block length mismatch");
       }
-      if (std::fread(raw_.data(), 1, raw_len, f_) != raw_len) {
-        throw TraceError(path_, block_idx_, "truncated block payload");
-      }
+      payload = raw_.data();
       break;
     case Codec::kLrz:
-      if (std::fread(comp_.data(), 1, comp_len, f_) != comp_len) {
-        throw TraceError(path_, block_idx_, "truncated block payload");
-      }
-      if (!lrz_decompress(comp_.data(), comp_len, raw_.data(), raw_len)) {
-        throw TraceError(path_, block_idx_, "corrupt lrz payload");
-      }
+      payload = comp_.data();
       break;
     default:
       throw TraceError(path_, block_idx_,
                        "unknown codec " + std::to_string(codec));
   }
-  if (fnv1a32(raw_.data(), raw_len) != checksum) {
+  if (std::fread(payload, 1, comp_len, f_) != comp_len) {
+    throw TraceError(path_, block_idx_, "truncated block payload");
+  }
+  if (fnv1a32(payload, comp_len) != checksum) {
     throw TraceError(path_, block_idx_, "checksum mismatch");
+  }
+  if (static_cast<Codec>(codec) == Codec::kLrz &&
+      !lrz_decompress(payload, comp_len, raw_.data(), raw_len)) {
+    throw TraceError(path_, block_idx_, "corrupt lrz payload");
   }
   pos_ = 0;
   raw_len_ = raw_len;

@@ -20,6 +20,7 @@ std::string stream_name(unsigned cpu) {
 CaptureLog::CaptureLog(std::string dir, unsigned nprocs)
     : dir_(std::move(dir)), streams_(nprocs) {
   std::filesystem::create_directories(dir_);
+  comp_.resize(kBlockRawBytes + kBlockRawBytes / 16 + 64);
   for (unsigned p = 0; p < nprocs; ++p) {
     Stream& s = streams_[p];
     const std::string path = dir_ + "/" + stream_name(p);
@@ -29,7 +30,6 @@ CaptureLog::CaptureLog(std::string dir, unsigned nprocs)
     }
     // Slack past the block size so a record never straddles the flush check.
     s.raw.resize(kBlockRawBytes + kMaxRecordBytes);
-    s.comp.resize(kBlockRawBytes + kBlockRawBytes / 16 + 64);
     std::uint8_t hdr[kFileHeaderBytes] = {};
     put_u32(hdr, kMagic);
     put_u16(hdr + 4, kVersion);
@@ -73,11 +73,10 @@ void CaptureLog::flush_block(Stream& s) {
   const std::uint8_t* payload = raw;
   std::size_t payload_len = raw_len;
 
-  const std::size_t c =
-      lrz_compress(raw, raw_len, s.comp.data(), s.comp.size());
+  const std::size_t c = lrz_compress(raw, raw_len, comp_.data(), comp_.size());
   if (c != 0 && c < raw_len) {
     codec = Codec::kLrz;
-    payload = s.comp.data();
+    payload = comp_.data();
     payload_len = c;
   }
 
@@ -85,7 +84,7 @@ void CaptureLog::flush_block(Stream& s) {
   put_u32(hdr, static_cast<std::uint32_t>(raw_len));
   put_u32(hdr + 4, static_cast<std::uint32_t>(payload_len));
   put_u32(hdr + 8, s.nrecords);
-  put_u32(hdr + 12, fnv1a32(raw, raw_len));
+  put_u32(hdr + 12, fnv1a32(payload, payload_len));
   hdr[16] = static_cast<std::uint8_t>(codec);
   if (std::fwrite(hdr, 1, sizeof(hdr), s.f) != sizeof(hdr) ||
       std::fwrite(payload, 1, payload_len, s.f) != payload_len) {

@@ -40,8 +40,7 @@ class CaptureLog final : public core::AccessLog {
  private:
   struct Stream {
     std::FILE* f = nullptr;
-    std::vector<std::uint8_t> raw;   // current block, encoded records
-    std::vector<std::uint8_t> comp;  // codec scratch
+    std::vector<std::uint8_t> raw;  // current block, encoded records
     std::size_t raw_pos = 0;
     std::uint32_t nrecords = 0;
     std::uint64_t prev_addr = 0;  // delta base; resets each block
@@ -58,6 +57,7 @@ class CaptureLog final : public core::AccessLog {
   std::uint64_t seed_ = 0;
   std::uint64_t records_ = 0;
   std::vector<Stream> streams_;
+  std::vector<std::uint8_t> comp_;  // codec scratch; flush_block is serial
   bool finished_ = false;
 };
 

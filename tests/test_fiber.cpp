@@ -1,7 +1,10 @@
 #include "sim/fiber.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <cstddef>
 #include <memory>
 #include <vector>
 
@@ -100,6 +103,62 @@ TEST(Fiber, NestedFunctionCanYield) {
   f.resume();
   EXPECT_EQ(stage, 2);
   EXPECT_TRUE(f.finished());
+}
+
+// Per-page residency of [p, p + n) (bit 0 of each mincore byte).
+std::vector<bool> resident_pages(const char* p, std::size_t n) {
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  std::vector<unsigned char> vec((n + page - 1) / page);
+  EXPECT_EQ(mincore(const_cast<char*>(p), n, vec.data()), 0);
+  std::vector<bool> out;
+  for (unsigned char v : vec) out.push_back((v & 1) != 0);
+  return out;
+}
+
+// The stack is address space until touched: a fresh stack has no resident
+// page, and touching the top byte commits exactly the top page.
+TEST(FiberStack, UntouchedStackIsNotResident) {
+  FiberStack stack(256 * 1024);
+  ASSERT_EQ(stack.size(), 256u * 1024u);
+  auto pages = resident_pages(stack.base(), stack.size());
+  for (std::size_t i = 0; i < pages.size(); ++i) {
+    EXPECT_FALSE(pages[i]) << "page " << i;
+  }
+  stack.base()[stack.size() - 1] = 1;
+  pages = resident_pages(stack.base(), stack.size());
+  EXPECT_TRUE(pages.back());
+  for (std::size_t i = 0; i + 1 < pages.size(); ++i) {
+    EXPECT_FALSE(pages[i]) << "page " << i;
+  }
+}
+
+volatile bool g_stop_dive = false;
+
+// Recurses until the stack runs out; the volatile frame keeps the compiler
+// from turning the recursion into a loop.
+int dive(int depth) {
+  volatile char frame[256];
+  frame[0] = static_cast<char>(depth);
+  if (g_stop_dive) return depth;
+  return dive(depth + 1) + frame[0];
+}
+
+// Running off the bottom of a fiber stack hits the guard page and dies,
+// instead of overwriting whatever the allocator placed below the stack.
+TEST(FiberStack, OverflowHitsGuardPage) {
+  EXPECT_DEATH(
+      {
+        Fiber f([] { dive(0); });
+        f.resume();
+      },
+      "");
+  // The byte just below the stack is the guard page itself.
+  EXPECT_DEATH(
+      {
+        FiberStack stack(4096);
+        static_cast<volatile char*>(stack.base())[-1] = 1;
+      },
+      "");
 }
 
 }  // namespace

@@ -494,6 +494,91 @@ TEST(TraceReader, BytesAfterEndIgnored) {
   for (int i = 0; i < 3; ++i) EXPECT_FALSE(rd.next(r));
 }
 
+// One lrz-codec block; the checksum covers the stored (compressed) bytes.
+std::string make_lrz_stream(const std::string& leaf, std::uint16_t version,
+                            const std::vector<std::uint8_t>& comp,
+                            std::uint32_t raw_len, std::uint32_t checksum) {
+  const std::string dir = scratch_dir(leaf);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/" + trace::stream_name(0);
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  std::uint8_t fh[trace::kFileHeaderBytes] = {};
+  trace::put_u32(fh, trace::kMagic);
+  trace::put_u16(fh + 4, version);
+  trace::put_u32(fh + 12, 1);  // nprocs
+  std::fwrite(fh, 1, sizeof(fh), f);
+  std::uint8_t bh[trace::kBlockHeaderBytes] = {};
+  trace::put_u32(bh, raw_len);
+  trace::put_u32(bh + 4, static_cast<std::uint32_t>(comp.size()));
+  trace::put_u32(bh + 12, checksum);
+  bh[16] = static_cast<std::uint8_t>(trace::Codec::kLrz);
+  std::fwrite(bh, 1, sizeof(bh), f);
+  std::fwrite(comp.data(), 1, comp.size(), f);
+  std::fclose(f);
+  return path;
+}
+
+// A strided read stream (compressible) ending in kEnd, and its lrz payload.
+std::pair<std::vector<std::uint8_t>, std::vector<std::uint8_t>> lrz_reads() {
+  std::vector<trace::Record> reads;
+  for (unsigned i = 0; i < 256; ++i) {
+    reads.push_back({trace::Op::kRead, 8, 0x1000 + 8 * i, 0});
+  }
+  const auto raw =
+      concat(access_block(reads), {std::uint8_t(trace::Op::kEnd)});
+  std::vector<std::uint8_t> comp(raw.size() + raw.size() / 16 + 64);
+  const std::size_t c =
+      trace::lrz_compress(raw.data(), raw.size(), comp.data(), comp.size());
+  EXPECT_GT(c, 0u);
+  EXPECT_LT(c, raw.size());
+  comp.resize(c);
+  return {raw, comp};
+}
+
+// One flipped byte in a compressed payload is caught by the block checksum
+// before the decompressor runs, with the located error.
+TEST(TraceCorrupt, LrzFlippedByteIsChecksumMismatch) {
+  const auto [raw, comp] = lrz_reads();
+  const auto raw_len = static_cast<std::uint32_t>(raw.size());
+  const std::uint32_t sum = trace::fnv1a32(comp.data(), comp.size());
+  {
+    const std::string path =
+        make_lrz_stream("lrz_good", trace::kVersion, comp, raw_len, sum);
+    trace::Reader rd(path);
+    trace::Record r;
+    std::size_t n = 0;
+    while (rd.next(r)) ++n;
+    EXPECT_EQ(n, 256u);
+  }
+  auto bad = comp;
+  bad[bad.size() / 2] ^= 0x40;
+  const std::string path =
+      make_lrz_stream("lrz_flip", trace::kVersion, bad, raw_len, sum);
+  trace::Reader rd(path);
+  trace::Record r;
+  try {
+    rd.next(r);
+    FAIL() << "expected TraceError";
+  } catch (const trace::TraceError& e) {
+    EXPECT_EQ(std::string(e.what()), path + ":block 0: checksum mismatch");
+  }
+}
+
+// Version 1 checksummed the decompressed bytes; its streams are rejected by
+// name rather than misread.
+TEST(TraceCorrupt, Version1Rejected) {
+  const auto [raw, comp] = lrz_reads();
+  const std::string path = make_lrz_stream(
+      "v1", 1, comp, static_cast<std::uint32_t>(raw.size()),
+      trace::fnv1a32(raw.data(), raw.size()));
+  try {
+    trace::Reader rd(path);
+    FAIL() << "expected TraceError";
+  } catch (const trace::TraceError& e) {
+    EXPECT_EQ(std::string(e.what()), path + ":block 0: unsupported version 1");
+  }
+}
+
 // A corrupt stream surfaced through the replay front end (not just the raw
 // Reader) also fails with the located error, with the Machine cleanly
 // destroyed.
