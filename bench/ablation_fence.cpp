@@ -11,6 +11,16 @@
 #include "bench/harness.hpp"
 #include "stats/table.hpp"
 
+namespace {
+
+struct Config {
+  const char* label;
+  lrc::core::ProtocolKind kind;
+  unsigned fence_every;
+};
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace lrc;
   auto opt = bench::Options::parse(argc, argv);
@@ -18,40 +28,46 @@ int main(int argc, char** argv) {
   bench::print_header(opt, "Fence-period ablation for racy programs",
                       "paper Sec. 4.2 (fences bound invalidation staleness)");
 
+  // The first config is the baseline of the "vs LRC" column.
+  static const Config kConfigs[] = {
+      {"LRC, no fences", core::ProtocolKind::kLRC, 0},
+      {"LRC, fence/64", core::ProtocolKind::kLRC, 64},
+      {"LRC, fence/16", core::ProtocolKind::kLRC, 16},
+      {"LRC, fence/4", core::ProtocolKind::kLRC, 4},
+      {"ERC (reference)", core::ProtocolKind::kERC, 0},
+  };
+  const auto apps = bench::selected_apps(opt);
+  std::vector<bench::Experiment> exps;
+  for (const auto* app : apps) {
+    for (const auto& c : kConfigs) {
+      exps.push_back({app, c.kind, {}, c.fence_every});
+    }
+  }
+  const auto results = bench::run_experiments(exps, opt);
+
   stats::Table table({"Application", "Config", "Exec cycles", "vs LRC",
                       "Quality / validation"});
-  for (const auto* app : bench::selected_apps(opt)) {
-    auto run_with = [&](core::ProtocolKind kind, unsigned fence_every) {
-      core::Machine m(bench::make_params(opt), kind);
-      apps::AppConfig cfg;
-      cfg.seed = opt.seed;
-      cfg.n = opt.scale == bench::Scale::kTest ? app->test_n : app->bench_n;
-      cfg.steps =
-          opt.scale == bench::Scale::kTest ? app->test_steps : app->bench_steps;
-      cfg.fence_every = fence_every;
-      const auto res = app->run(m, cfg);
-      return std::make_pair(m.report().execution_time, res.detail);
-    };
-    const auto base = run_with(core::ProtocolKind::kLRC, 0);
-    auto add = [&](const char* label, std::pair<Cycle, std::string> r) {
-      table.add_row({std::string(app->name), label,
-                     stats::Table::count(r.first),
-                     stats::Table::fixed(static_cast<double>(r.first) /
-                                             static_cast<double>(base.first),
-                                         3),
-                     r.second});
-    };
-    add("LRC, no fences", base);
-    add("LRC, fence/64", run_with(core::ProtocolKind::kLRC, 64));
-    add("LRC, fence/16", run_with(core::ProtocolKind::kLRC, 16));
-    add("LRC, fence/4", run_with(core::ProtocolKind::kLRC, 4));
-    add("ERC (reference)", run_with(core::ProtocolKind::kERC, 0));
-    std::fflush(stdout);
+  const std::size_t n = std::size(kConfigs);
+  for (std::size_t a = 0; a < apps.size(); ++a) {
+    const auto& base = results[a * n];
+    if (!base.ok()) continue;
+    for (std::size_t c = 0; c < n; ++c) {
+      const auto& r = results[a * n + c];
+      if (!r.ok()) continue;
+      table.add_row(
+          {std::string(apps[a]->name), kConfigs[c].label,
+           stats::Table::count(r.report.execution_time),
+           stats::Table::fixed(
+               static_cast<double>(r.report.execution_time) /
+                   static_cast<double>(base.report.execution_time),
+               3),
+           r.app.detail});
+    }
   }
   std::printf("%s\n", table.to_string().c_str());
   std::printf(
       "Expected: tighter fence periods trade execution time for fresher\n"
       "data (quality approaches the eager reference), per the paper's "
       "remedy.\n");
-  return 0;
+  return bench::exit_status(results);
 }

@@ -17,37 +17,38 @@ int main(int argc, char** argv) {
   bench::print_header(opt, "Acquire-overlap ablation (LRC)",
                       "paper Sec. 2 invalidation/lock-latency overlap");
 
+  const auto apps = bench::selected_apps(opt);
+  std::vector<bench::Experiment> exps;
+  for (const auto* app : apps) {
+    for (bool overlap : {true, false}) {
+      exps.push_back({app, core::ProtocolKind::kLRC,
+                      [overlap](core::SystemParams& p) {
+                        p.lrc_overlap_acquire = overlap;
+                      }});
+    }
+  }
+  const auto results = bench::run_experiments(exps, opt);
+
   stats::Table table({"Application", "Overlap(cycles)", "No overlap",
                       "Slowdown", "Sync overlap", "Sync no-ovl"});
-  for (const auto* app : bench::selected_apps(opt)) {
-    auto run_with = [&](bool overlap) {
-      core::SystemParams p = bench::make_params(opt);
-      p.lrc_overlap_acquire = overlap;
-      core::Machine m(p, core::ProtocolKind::kLRC);
-      apps::AppConfig cfg;
-      cfg.seed = opt.seed;
-      cfg.n = opt.scale == bench::Scale::kTest ? app->test_n : app->bench_n;
-      cfg.steps =
-          opt.scale == bench::Scale::kTest ? app->test_steps : app->bench_steps;
-      app->run(m, cfg);
-      return m.report();
-    };
-    const auto on = run_with(true);
-    const auto off = run_with(false);
+  for (std::size_t a = 0; a < apps.size(); ++a) {
+    const auto& on = results[2 * a];
+    const auto& off = results[2 * a + 1];
+    if (!on.ok() || !off.ok()) continue;
+    const auto on_time = on.report.execution_time;
+    const auto off_time = off.report.execution_time;
     table.add_row(
-        {std::string(app->name), stats::Table::count(on.execution_time),
-         stats::Table::count(off.execution_time),
-         stats::Table::pct(
-             (static_cast<double>(off.execution_time) - on.execution_time) /
-                 static_cast<double>(on.execution_time),
-             1),
-         stats::Table::count(on.breakdown[stats::StallKind::kSync]),
-         stats::Table::count(off.breakdown[stats::StallKind::kSync])});
-    std::fflush(stdout);
+        {std::string(apps[a]->name), stats::Table::count(on_time),
+         stats::Table::count(off_time),
+         stats::Table::pct((static_cast<double>(off_time) - on_time) /
+                               static_cast<double>(on_time),
+                           1),
+         stats::Table::count(on.report.breakdown[stats::StallKind::kSync]),
+         stats::Table::count(off.report.breakdown[stats::StallKind::kSync])});
   }
   std::printf("%s\n", table.to_string().c_str());
   std::printf(
       "Expected: disabling the overlap moves notice processing into the\n"
       "acquire's critical path, inflating synchronization time.\n");
-  return 0;
+  return bench::exit_status(results);
 }

@@ -177,14 +177,19 @@ std::vector<const apps::AppInfo*> selected_apps(const Options& opt) {
   return out;
 }
 
-RunResult run_app(const apps::AppInfo& info, core::ProtocolKind kind,
-                  const Options& opt) {
+namespace {
+
+RunResult run_cell(const Experiment& exp, const Options& opt) {
+  const apps::AppInfo& info = *exp.app;
+  const core::ProtocolKind kind = exp.kind;
+  core::SystemParams params = make_params(opt);
+  if (exp.adjust) exp.adjust(params);
   const std::string cell = std::string(info.name) + "_" +
                            std::string(core::to_string(kind));
   if (!opt.replay_dir.empty()) {
     // Fiber-free replay: processors re-issue the recorded streams; the
     // workload body, validation, and capture do not apply.
-    core::Machine m(make_params(opt), kind,
+    core::Machine m(params, kind,
                     trace::ReplayCpu::factory(opt.replay_dir + "/" + cell));
     m.run(nullptr);
     RunResult r;
@@ -193,7 +198,7 @@ RunResult run_app(const apps::AppInfo& info, core::ProtocolKind kind,
     r.app.detail = "replay";
     return r;
   }
-  core::Machine m(make_params(opt), kind);
+  core::Machine m(params, kind);
   std::unique_ptr<trace::CaptureLog> capture;
   if (!opt.capture_dir.empty()) {
     capture = std::make_unique<trace::CaptureLog>(
@@ -205,6 +210,7 @@ RunResult run_app(const apps::AppInfo& info, core::ProtocolKind kind,
   apps::AppConfig cfg;
   cfg.seed = opt.seed;
   cfg.validate = opt.validate;
+  cfg.fence_every = exp.fence_every;
   switch (opt.scale) {
     case Scale::kTest:
       cfg.n = info.test_n;
@@ -232,6 +238,13 @@ RunResult run_app(const apps::AppInfo& info, core::ProtocolKind kind,
   return r;
 }
 
+}  // namespace
+
+RunResult run_app(const apps::AppInfo& info, core::ProtocolKind kind,
+                  const Options& opt) {
+  return run_cell(Experiment{&info, kind, {}, 0}, opt);
+}
+
 unsigned effective_jobs(const Options& opt) {
   if (opt.jobs != 0) return opt.jobs;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -240,10 +253,19 @@ unsigned effective_jobs(const Options& opt) {
 
 std::vector<RunResult> run_experiments(const std::vector<Experiment>& exps,
                                        const Options& opt) {
+  const bool per_cell = std::any_of(
+      exps.begin(), exps.end(),
+      [](const Experiment& e) { return e.adjust || e.fence_every != 0; });
+  if (per_cell && (!opt.capture_dir.empty() || !opt.replay_dir.empty())) {
+    std::fprintf(stderr,
+                 "--capture/--replay do not apply to a sweep that varies "
+                 "parameters per cell\n");
+    std::exit(2);
+  }
   std::vector<RunResult> results(exps.size());
-  auto run_cell = [&](std::size_t i) {
+  auto run_one = [&](std::size_t i) {
     try {
-      results[i] = run_app(*exps[i].app, exps[i].kind, opt);
+      results[i] = run_cell(exps[i], opt);
     } catch (const std::exception& e) {
       results[i].error = e.what();
     } catch (...) {
@@ -253,7 +275,7 @@ std::vector<RunResult> run_experiments(const std::vector<Experiment>& exps,
   const std::size_t jobs =
       std::min<std::size_t>(effective_jobs(opt), exps.size());
   if (jobs <= 1) {
-    for (std::size_t i = 0; i < exps.size(); ++i) run_cell(i);
+    for (std::size_t i = 0; i < exps.size(); ++i) run_one(i);
   } else {
     // Each experiment runs on a fresh Machine with the same seed derivation
     // as the serial path, so this only changes wall-clock time, never
@@ -264,7 +286,7 @@ std::vector<RunResult> run_experiments(const std::vector<Experiment>& exps,
       for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
            i < exps.size();
            i = next.fetch_add(1, std::memory_order_relaxed)) {
-        run_cell(i);
+        run_one(i);
       }
     };
     std::vector<std::thread> pool;
@@ -282,7 +304,7 @@ std::vector<RunResult> run_experiments(const std::vector<Experiment>& exps,
   return results;
 }
 
-bool row_ok(const std::vector<RunResult>& row) {
+bool row_ok(std::span<const RunResult> row) {
   return std::all_of(row.begin(), row.end(),
                      [](const RunResult& r) { return r.ok(); });
 }
@@ -291,13 +313,17 @@ int exit_status(const std::vector<std::vector<RunResult>>& matrix) {
   return std::all_of(matrix.begin(), matrix.end(), row_ok) ? 0 : 1;
 }
 
+int exit_status(std::span<const RunResult> cells) {
+  return row_ok(cells) ? 0 : 1;
+}
+
 std::vector<std::vector<RunResult>> run_matrix(
     const Options& opt, const std::vector<core::ProtocolKind>& kinds) {
   const auto apps = selected_apps(opt);
   std::vector<Experiment> exps;
   exps.reserve(apps.size() * kinds.size());
   for (const auto* app : apps) {
-    for (const auto kind : kinds) exps.push_back(Experiment{app, kind});
+    for (const auto kind : kinds) exps.push_back({app, kind, {}, 0});
   }
   auto flat = run_experiments(exps, opt);
   std::vector<std::vector<RunResult>> out(apps.size());

@@ -8,7 +8,9 @@
 //   paper  original §3 inputs, 128 KiB caches — slow on one host core
 #pragma once
 
+#include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,9 +61,15 @@ RunResult run_app(const apps::AppInfo& info, core::ProtocolKind kind,
                   const Options& opt);
 
 /// One cell of an experiment sweep: an application under a protocol.
+/// Ablation sweeps vary the machine or the workload per cell; such cells
+/// cannot be captured or replayed, since their traces would share one
+/// directory.
 struct Experiment {
   const apps::AppInfo* app = nullptr;
   core::ProtocolKind kind{};
+  /// Applied to make_params(opt) before the cell's Machine is built.
+  std::function<void(core::SystemParams&)> adjust;
+  unsigned fence_every = 0;  // apps::AppConfig::fence_every
 };
 
 /// Runs independent experiments on a pool of effective_jobs(opt) worker
@@ -80,13 +88,13 @@ std::vector<RunResult> run_experiments(const std::vector<Experiment>& exps,
 std::vector<std::vector<RunResult>> run_matrix(
     const Options& opt, const std::vector<core::ProtocolKind>& kinds);
 
-/// True when every cell of a run_matrix row finished. The figure tables
-/// leave out the other rows: their numbers are relative to a cell that
-/// has none.
-bool row_ok(const std::vector<RunResult>& row);
+/// True when every cell of a table row finished. The tables leave out the
+/// other rows: their numbers are relative to a cell that has none.
+bool row_ok(std::span<const RunResult> row);
 
-/// Exit status of a figure binary: 0 when every cell finished, else 1.
+/// Exit status of a harness binary: 0 when every cell finished, else 1.
 int exit_status(const std::vector<std::vector<RunResult>>& matrix);
+int exit_status(std::span<const RunResult> cells);
 
 /// The applications selected by the options, in paper order.
 std::vector<const apps::AppInfo*> selected_apps(const Options& opt);

@@ -40,34 +40,37 @@ int main(int argc, char** argv) {
       {"future (40cy, 4B/cy, 256B)", 40, 4, 256},
   };
 
+  const auto apps = bench::selected_apps(opt);
+  std::vector<bench::Experiment> exps;
+  for (const auto& cfg : kConfigs) {
+    auto adjust = [&cfg](core::SystemParams& p) {
+      p.line_bytes = cfg.line;
+      p.mem_setup = cfg.mem_setup;
+      p.mem_bandwidth = cfg.bandwidth;
+      p.bus_bandwidth = cfg.bandwidth;
+      p.net_bandwidth = cfg.bandwidth;
+    };
+    for (const auto* app : apps) {
+      exps.push_back({app, core::ProtocolKind::kERC, adjust});
+      exps.push_back({app, core::ProtocolKind::kLRC, adjust});
+    }
+  }
+  const auto results = bench::run_experiments(exps, opt);
+
   stats::Table table({"Config", "Application", "ERC(cycles)", "LRC(cycles)",
                       "LRC/ERC gain"});
+  std::size_t i = 0;
   for (const auto& cfg : kConfigs) {
-    for (const auto* app : bench::selected_apps(opt)) {
-      bench::Options o = opt;
-      o.line_bytes = cfg.line;
-      auto run_with = [&](core::ProtocolKind kind) {
-        core::SystemParams p = bench::make_params(o);
-        p.mem_setup = cfg.mem_setup;
-        p.mem_bandwidth = cfg.bandwidth;
-        p.bus_bandwidth = cfg.bandwidth;
-        p.net_bandwidth = cfg.bandwidth;
-        core::Machine m(p, kind);
-        apps::AppConfig ac;
-        ac.seed = o.seed;
-        ac.n = o.scale == bench::Scale::kTest ? app->test_n : app->bench_n;
-        ac.steps =
-            o.scale == bench::Scale::kTest ? app->test_steps : app->bench_steps;
-        app->run(m, ac);
-        return m.report().execution_time;
-      };
-      const double e = static_cast<double>(run_with(core::ProtocolKind::kERC));
-      const double l = static_cast<double>(run_with(core::ProtocolKind::kLRC));
+    for (const auto* app : apps) {
+      const auto& erc = results[i++];
+      const auto& lrc_r = results[i++];
+      if (!erc.ok() || !lrc_r.ok()) continue;
+      const double e = static_cast<double>(erc.report.execution_time);
+      const double l = static_cast<double>(lrc_r.report.execution_time);
       table.add_row({cfg.label, std::string(app->name),
-                     stats::Table::count(static_cast<std::uint64_t>(e)),
-                     stats::Table::count(static_cast<std::uint64_t>(l)),
+                     stats::Table::count(erc.report.execution_time),
+                     stats::Table::count(lrc_r.report.execution_time),
                      stats::Table::pct((e - l) / e, 1)});
-      std::fflush(stdout);
     }
   }
   std::printf("%s\n", table.to_string().c_str());
@@ -75,5 +78,5 @@ int main(int argc, char** argv) {
       "Paper shape check: the gain column grows with line size and with "
       "memory\nlatency (in cycles); it stays positive across "
       "latency/bandwidth combinations\nfor the false-sharing apps.\n");
-  return 0;
+  return bench::exit_status(results);
 }

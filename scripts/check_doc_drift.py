@@ -145,7 +145,7 @@ def main() -> int:
             )
         texts[doc] = doc.read_text()
 
-    model_json, findings = proto_model.build_protocol_model(ROOT, "tokens")
+    model_json, findings = proto_model.build_protocol_model(ROOT)
     gating = proto_model.gating(findings)
     if gating:
         # Anchor/inventory checks against a broken model would lie; make

@@ -51,8 +51,8 @@ def _print_findings(findings, prefix="  "):
         print(f"{prefix}{loc + ': ' if loc else ''}[{f['rule']}] {f['msg']}")
 
 
-def run_extract(repo: Path, out: Path, backend: str):
-    model, findings = proto_model.build_protocol_model(repo, backend)
+def run_extract(repo: Path, out: Path):
+    model, findings = proto_model.build_protocol_model(repo)
     gating = proto_model.gating(findings)
     if findings:
         _print_findings(findings)
@@ -174,7 +174,7 @@ def self_test_mutations(repo: Path) -> bool:
         with tempfile.TemporaryDirectory() as d:
             tree = _mutated_tree(repo, Path(d))
             edit(tree)
-            _, findings = proto_model.build_protocol_model(tree, "tokens")
+            _, findings = proto_model.build_protocol_model(tree)
             gating = proto_model.gating(findings)
             if gating:
                 print(f"  mutation '{label}': caught "
@@ -210,8 +210,6 @@ def self_test_mutations(repo: Path) -> bool:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repo", type=Path, default=ROOT)
-    ap.add_argument("--backend", choices=["auto", "tokens", "libclang"],
-                    default="tokens")
     ap.add_argument("--out", type=Path, default=None,
                     help="proto_model.json destination "
                          "(default <repo>/build/proto_model.json)")
@@ -241,7 +239,7 @@ def main() -> int:
 
     ok = True
     print("== pass 1: protocol-model extraction ==")
-    model, good = run_extract(repo, out, args.backend)
+    model, good = run_extract(repo, out)
     ok &= good
     if not model:
         print("static checks: FAILED (no model)")

@@ -12,6 +12,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -74,33 +75,33 @@ class MissClassifier {
   const MissCounts& counts(NodeId proc) const { return per_proc_[proc]; }
   MissCounts aggregate() const;
 
+  /// Word entries per storage chunk (64 KiB): a chunk holds
+  /// kChunkWords / words_per_line written lines.
+  static constexpr std::size_t kChunkWords = 8192;
+
  private:
-  struct WordInfo {
-    NodeId writer = kInvalidNode;
-    std::uint64_t stamp = 0;
-  };
-  struct LineHist {
-    enum class Status : std::uint8_t { kNever, kCached, kLostEvict, kLostInval };
-    Status status = Status::kNever;
-    // Global write stamp when this processor last *obtained* the copy.
-    // Foreign writes after this stamp made (or would have made) the copy
-    // stale — this window is what distinguishes sharing misses from pure
-    // capacity/conflict misses even when invalidations are applied lazily.
-    std::uint64_t fill_stamp = 0;
-  };
+  // Per-processor line history, one uint64: (fill_stamp << 2) | Status.
+  // fill_stamp is the global write stamp when the processor last *obtained*
+  // the copy. Foreign writes after it made (or would have made) the copy
+  // stale — this window is what distinguishes sharing misses from pure
+  // capacity/conflict misses even when invalidations are applied lazily.
+  enum Status : std::uint64_t { kNever, kCached, kLostEvict, kLostInval };
+  static constexpr std::uint64_t kStatusMask = 3;
 
   // on_write_committed runs for every committed write and classify for
-  // every miss, so per-line state lives in flat-hash maps: word stamps are
-  // blocks of `words_per_line_` entries in one contiguous array (indexed by
-  // a line -> block table), and per-processor line history is stored
-  // directly in the map slots (LineHist is small and never referenced
-  // across another map operation).
+  // every miss. A written line owns a block of `words_per_line_` word
+  // entries, each one uint64: (stamp << 8) | (writer + 1), 0 for a word
+  // never written. Blocks are carved from fixed-size chunks that never
+  // move, so `word_index_` maps a line straight to its block. Line history
+  // lives in the per-processor map slots.
   unsigned nprocs_;
   unsigned words_per_line_;
   std::uint64_t stamp_ = 0;
-  util::FlatMap<std::uint32_t> word_index_;  // line -> block number
-  std::vector<WordInfo> word_info_;  // block b at [b*wpl, (b+1)*wpl)
-  std::vector<util::FlatMap<LineHist>> hist_;  // per proc
+  util::FlatMap<std::uint64_t*> word_index_;  // line -> block
+  std::vector<std::unique_ptr<std::uint64_t[]>> chunks_;
+  // Words handed out of chunks_.back(); "full" before the first chunk.
+  std::size_t chunk_used_ = kChunkWords;
+  std::vector<util::FlatMap<std::uint64_t>> hist_;  // per proc
   std::vector<MissCounts> per_proc_;
 };
 

@@ -23,18 +23,11 @@ Two passes over the real sources — no regex scraping of code:
   `*_clock::now`, `gettimeofday`, `time`). `// det-lint: ok(reason)`
   allowlists a specific line.
 
-Backends
---------
-The analysis is grounded in a token-level parse of the translation units.
-Two interchangeable backends produce the same source model:
-
-  * `tokens`  — built-in C++ lexer + structural parser (default; zero
-                dependencies, deterministic, tested by the fixture suite).
-  * `libclang` — the real clang AST via the `clang.cindex` python bindings
-                and the exported `compile_commands.json`. Requires
-                libclang >= 14 (see README build options). Selected with
-                `--backend libclang`; `--backend auto` uses it when
-                importable and falls back to `tokens`.
+Parser
+------
+The analysis is grounded in a token-level parse of the translation units:
+a built-in C++ lexer + structural parser (zero dependencies,
+deterministic, tested by the fixture suite).
 
 Run `scripts/run_static_checks.py` for the CI entry point.
 """
@@ -291,7 +284,7 @@ def parse_annotations(toks: list[Tok], comments: list[Comment]
 
 
 # ---------------------------------------------------------------------------
-# Structural parser (tokens backend)
+# Structural parser
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -342,7 +335,7 @@ class Func:
 
 @dataclass
 class SourceModel:
-    """Per-repo parse results, identical across backends."""
+    """Per-repo parse results."""
     enums: dict[str, list[str]] = field(default_factory=dict)
     enum_files: dict[str, str] = field(default_factory=dict)
     bases: dict[str, str] = field(default_factory=dict)      # class -> base
@@ -698,86 +691,6 @@ def parse_file(path: Path, rel: str, model: SourceModel) -> None:
 
 
 # ---------------------------------------------------------------------------
-# libclang backend (optional)
-# ---------------------------------------------------------------------------
-
-def parse_file_libclang(path: Path, rel: str, model: SourceModel,
-                        compile_db_dir: Path) -> None:
-    """Produce the same SourceModel facts via the clang AST. Requires the
-    `clang` python bindings and a libclang >= 14 shared library; see
-    docs/STATIC.md. Annotations are comment-level and always come from the
-    built-in lexer."""
-    import clang.cindex as ci  # noqa: deferred import — optional dep
-
-    # Annotations still come from the comment scanner.
-    toks, comments = lex(path.read_text())
-    annots, afinds = parse_annotations(toks, comments)
-    model.annotations[rel] = annots
-    model.annot_findings[rel] = afinds
-
-    args = ["-std=c++20", "-xc++"]
-    try:
-        db = ci.CompilationDatabase.fromDirectory(str(compile_db_dir))
-        cmds = db.getCompileCommands(str(path))
-        if cmds:
-            args = [a for a in list(cmds[0].arguments)[1:-1]
-                    if a != "-c" and not a.endswith(".o")]
-    except ci.CompilationDatabaseError:
-        pass
-    tu = ci.Index.create().parse(str(path), args=args)
-
-    def spelling_chain(cur):
-        parts = []
-        p = cur.semantic_parent
-        while p is not None and p.kind in (ci.CursorKind.CLASS_DECL,
-                                           ci.CursorKind.STRUCT_DECL):
-            parts.append(p.spelling)
-            p = p.semantic_parent
-        return parts[0] if parts else ""
-
-    def visit(cur):
-        if cur.location.file and Path(str(cur.location.file)) != path:
-            return
-        k = cur.kind
-        if k == ci.CursorKind.ENUM_DECL and cur.spelling:
-            members = [c.spelling for c in cur.get_children()
-                       if c.kind == ci.CursorKind.ENUM_CONSTANT_DECL]
-            if members and cur.spelling not in model.enums:
-                model.enums[cur.spelling] = members
-                model.enum_files[cur.spelling] = rel
-        if k in (ci.CursorKind.CLASS_DECL, ci.CursorKind.STRUCT_DECL):
-            for c in cur.get_children():
-                if c.kind == ci.CursorKind.CXX_BASE_SPECIFIER:
-                    base = c.type.spelling.split("::")[-1]
-                    model.bases[cur.spelling] = base
-        if k in (ci.CursorKind.CXX_METHOD, ci.CursorKind.FUNCTION_DECL,
-                 ci.CursorKind.CONSTRUCTOR) and cur.is_definition():
-            cls = spelling_chain(cur)
-            name = cur.spelling
-            fn = Func(qualname=(f"{cls}::{name}" if cls else name), cls=cls,
-                      name=name, file=rel, start=cur.extent.start.line,
-                      end=cur.extent.end.line)
-            # Re-lex the body extent with the reference lexer so switch and
-            # use extraction is shared between backends.
-            src = path.read_text().splitlines()
-            body = "\n".join(src[cur.extent.start.line - 1:
-                                 cur.extent.end.line])
-            brace = body.find("{")
-            if brace >= 0:
-                btoks, _ = lex(body[brace + 1:body.rfind("}")])
-                for t in btoks:
-                    t.line += cur.extent.start.line - 1
-                fn.body = btoks
-                _scan_body(fn)
-            model.funcs.append(fn)
-        for c in cur.get_children():
-            visit(c)
-
-    for c in tu.cursor.get_children():
-        visit(c)
-
-
-# ---------------------------------------------------------------------------
 # Pass 1: protocol model
 # ---------------------------------------------------------------------------
 
@@ -785,18 +698,7 @@ PROTO_FILES = ("src/proto", "src/mesh/message.hpp", "src/check/checker.hpp",
                "src/sim/event.hpp", "src/core/params.hpp")
 
 
-def load_model(root: Path, backend: str = "auto") -> SourceModel:
-    use_clang = False
-    if backend in ("auto", "libclang"):
-        try:
-            import clang.cindex as ci
-            ci.Index.create()
-            use_clang = True
-        except Exception:
-            if backend == "libclang":
-                sys.exit("error: --backend libclang requested but the clang "
-                         "python bindings / libclang >= 14 are unavailable "
-                         "(see docs/STATIC.md)")
+def load_model(root: Path) -> SourceModel:
     model = SourceModel()
     files: list[Path] = []
     for spec in PROTO_FILES:
@@ -807,11 +709,7 @@ def load_model(root: Path, backend: str = "auto") -> SourceModel:
             files.append(p)
     for f in files:
         rel = str(f.relative_to(root))
-        if use_clang and f.suffix == ".cpp":
-            parse_file_libclang(f, rel, model, root / "build")
-        else:
-            parse_file(f, rel, model)
-    model.backend = "libclang" if use_clang else "tokens"  # type: ignore
+        parse_file(f, rel, model)
     return model
 
 
@@ -1063,9 +961,9 @@ def collect_sends(model: SourceModel, fams: list[Family]) -> None:
                     fam.sends[k].append(fn.qualname)
 
 
-def build_protocol_model(root: Path, backend: str = "auto"):
+def build_protocol_model(root: Path):
     """Returns (model_dict, findings). Gating findings have gating != False."""
-    model = load_model(root, backend)
+    model = load_model(root)
     findings: list[dict] = []
     for rel, fs in model.annot_findings.items():
         for f in fs:
@@ -1111,7 +1009,6 @@ def build_protocol_model(root: Path, backend: str = "auto"):
 
     out = {
         "generator": "tools/proto_model.py",
-        "backend": getattr(model, "backend", "tokens"),
         "enums": {k: v for k, v in sorted(model.enums.items())},
         "enum_files": dict(sorted(model.enum_files.items())),
         "tags": dict(sorted(model.tags.items())),
@@ -1498,8 +1395,6 @@ def main() -> int:
                                         "coverage", "audit-fixture"])
     ap.add_argument("--repo", type=Path, default=Path(__file__).resolve()
                     .parent.parent)
-    ap.add_argument("--backend", choices=["auto", "tokens", "libclang"],
-                    default="tokens")
     ap.add_argument("--out", type=Path, default=None)
     ap.add_argument("--observed", type=Path, default=None)
     ap.add_argument("--fixture", type=Path, default=None)
@@ -1510,7 +1405,7 @@ def main() -> int:
             print(f"{f['file']}:{f.get('line', 0)}: [{f['rule']}] {f['msg']}")
         return 0
 
-    model_json, findings = build_protocol_model(args.repo, args.backend)
+    model_json, findings = build_protocol_model(args.repo)
     if args.command == "extract":
         out = args.out or (args.repo / "build" / "proto_model.json")
         out.parent.mkdir(parents=True, exist_ok=True)
