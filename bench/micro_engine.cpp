@@ -1,84 +1,27 @@
 // Simulation-kernel microbenchmark: the pooled-event calendar-queue engine
-// versus the original std::function + std::priority_queue engine, on the
-// schedule/fire pattern the simulator actually generates (short forward
-// deltas, many live events, events scheduling more events).
+// on the schedule/fire pattern the simulator actually generates (short
+// forward deltas, many live events, events scheduling more events).
 //
-// Reports events/sec and heap allocations/event for both kernels, as JSON
-// on stdout and in BENCH_micro_engine.json.  The rewrite must hold a >= 2x
-// events/sec advantage (DESIGN.md "Simulation kernel").
-#include <atomic>
+// Reports events/sec and heap allocations/event, as JSON on stdout and in
+// BENCH_micro_engine.json, and exits 1 if the engine allocates more than
+// 0.001 times per event (DESIGN.md "Simulation kernel"). Engine speed in
+// the whole simulator is measured end to end by bench/e2e.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
-#include <new>
-#include <queue>
 #include <string>
 #include <vector>
 
+#include "bench/alloc_count.hpp"
+#include "bench/micro_report.hpp"
 #include "sim/engine.hpp"
 #include "sim/types.hpp"
-
-// ---------------------------------------------------------------------------
-// Global allocation counter.  Replacing operator new/delete in the binary
-// lets us attribute heap traffic to each engine without instrumentation.
-static std::atomic<std::uint64_t> g_allocs{0};
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
 using lrc::Cycle;
-
-// ---------------------------------------------------------------------------
-// The seed kernel, verbatim in structure: (when, seq, std::function) triples
-// in a binary heap; ties break by insertion order.
-class LegacyEngine {
- public:
-  using Thunk = std::function<void(Cycle)>;
-
-  void schedule(Cycle when, Thunk fn) {
-    queue_.push(Item{when, next_seq_++, std::move(fn)});
-  }
-  void run() {
-    while (!queue_.empty()) {
-      Item ev = queue_.top();  // copy: top() is const (seed behaviour)
-      queue_.pop();
-      now_ = ev.when;
-      ++executed_;
-      ev.fn(now_);
-    }
-  }
-  Cycle now() const { return now_; }
-  std::uint64_t events_executed() const { return executed_; }
-
- private:
-  struct Item {
-    Cycle when;
-    std::uint64_t seq;
-    Thunk fn;
-  };
-  struct Later {
-    bool operator()(const Item& a, const Item& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-  std::priority_queue<Item, std::vector<Item>, Later> queue_;
-  Cycle now_ = 0;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t executed_ = 0;
-};
+using lrc::sim::Engine;
 
 // ---------------------------------------------------------------------------
 // Workload: kChains independent event chains, each hopping forward by a
@@ -95,17 +38,15 @@ struct Chain {
   }
 };
 
-// Models the mesh::Message each NIC-delivery thunk carried by value in the
-// seed kernel — large enough to defeat std::function's small-buffer
-// optimization, exactly as the real closures did.
+// Models the mesh::Message a NIC-delivery event carries by value, so each
+// event's capture is as large as the real ones.
 struct Payload {
   unsigned char bytes[56] = {};
 };
 
 constexpr unsigned kChains = 256;
 
-template <typename EngineT>
-void hop(EngineT& eng, Chain* c, Cycle t, const Payload& p) {
+void hop(Engine& eng, Chain* c, Cycle t, const Payload& p) {
   c->rng += p.bytes[0];  // consume the payload so it cannot be elided
   if (--c->remaining == 0) return;
   Payload next = p;
@@ -114,8 +55,7 @@ void hop(EngineT& eng, Chain* c, Cycle t, const Payload& p) {
                [&eng, c, next](Cycle tt) { hop(eng, c, tt, next); });
 }
 
-template <typename EngineT>
-std::uint64_t drive(EngineT& eng, std::uint64_t total_events) {
+std::uint64_t drive(Engine& eng, std::uint64_t total_events) {
   std::vector<Chain> chains(kChains);
   for (unsigned i = 0; i < kChains; ++i) {
     chains[i].remaining = total_events / kChains;
@@ -134,17 +74,16 @@ struct Measurement {
   std::uint64_t events = 0;
 };
 
-template <typename EngineT>
 Measurement measure(std::uint64_t total_events) {
-  EngineT eng;
+  Engine eng;
   drive(eng, kChains * 16);  // warm up pools / heap arenas
   const std::uint64_t warm = eng.events_executed();
 
-  const std::uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t allocs0 = lrc::bench::alloc_count();
   const auto t0 = std::chrono::steady_clock::now();
   const std::uint64_t done = drive(eng, total_events) - warm;
   const auto t1 = std::chrono::steady_clock::now();
-  const std::uint64_t allocs1 = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t allocs1 = lrc::bench::alloc_count();
 
   Measurement m;
   m.events = done;
@@ -161,28 +100,26 @@ int main(int argc, char** argv) {
   std::uint64_t total = 2'000'000;
   if (argc > 1) total = std::strtoull(argv[1], nullptr, 10);
 
-  const auto legacy = measure<LegacyEngine>(total);
-  const auto pooled = measure<lrc::sim::Engine>(total);
-  const double speedup = pooled.events_per_sec / legacy.events_per_sec;
+  const Measurement m = measure(total);
 
-  char json[1024];
-  std::snprintf(
-      json, sizeof(json),
-      "{\n"
-      "  \"bench\": \"micro_engine\",\n"
-      "  \"events\": %llu,\n"
-      "  \"legacy\": {\"events_per_sec\": %.0f, \"allocs_per_event\": %.3f},\n"
-      "  \"pooled\": {\"events_per_sec\": %.0f, \"allocs_per_event\": %.3f},\n"
-      "  \"speedup\": %.2f\n"
-      "}\n",
-      static_cast<unsigned long long>(pooled.events),
-      legacy.events_per_sec, legacy.allocs_per_event, pooled.events_per_sec,
-      pooled.allocs_per_event, speedup);
+  char json[512];
+  std::snprintf(json, sizeof(json),
+                "{\n"
+                "  \"bench\": \"micro_engine\",\n"
+                "  \"provenance\": %s,\n"
+                "  \"events\": %llu,\n"
+                "  \"events_per_sec\": %.0f,\n"
+                "  \"allocs_per_event\": %.6f\n"
+                "}\n",
+                lrc::bench::provenance_json().c_str(),
+                static_cast<unsigned long long>(m.events), m.events_per_sec,
+                m.allocs_per_event);
 
   std::fputs(json, stdout);
   if (FILE* f = std::fopen("BENCH_micro_engine.json", "w")) {
     std::fputs(json, f);
     std::fclose(f);
   }
-  return 0;
+  return lrc::bench::report_gates(
+      "micro_engine", {{"allocs/event <= 0.001", m.allocs_per_event <= 0.001}});
 }

@@ -17,41 +17,21 @@
 //
 // Writes BENCH_trace_replay.json (with commit, build type, compiler and
 // host-core provenance) and exits non-zero when a gate fails, so the CI
-// bench-smoke job enforces the targets directly and
-// check_bench_regression.py guards the recorded ratios against drift.
+// bench-smoke job enforces the targets directly.
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <ctime>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/alloc_count.hpp"
 #include "bench/harness.hpp"
+#include "bench/micro_report.hpp"
 #include "core/report.hpp"
 #include "trace/format.hpp"
 #include "trace/reader.hpp"
-
-// Counting global allocator: every operator-new in the process bumps the
-// counter, so a zero delta around the decode loop is a real guarantee, not
-// an artifact of an instrumented subset.
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace lrc {
 namespace {
@@ -97,24 +77,6 @@ double median(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
-// The source tree's commit (with "-dirty" for uncommitted changes), or
-// "unknown" outside a git checkout.
-std::string source_commit() {
-  std::string out;
-  const std::string cmd = "git -C \"" LRCSIM_SOURCE_DIR
-                          "\" describe --always --dirty --abbrev=12 "
-                          "2>/dev/null";
-  if (FILE* p = popen(cmd.c_str(), "r")) {
-    char buf[128];
-    while (std::fgets(buf, sizeof(buf), p) != nullptr) out += buf;
-    pclose(p);
-  }
-  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) {
-    out.pop_back();
-  }
-  return out.empty() ? "unknown" : out;
-}
-
 struct DecodeStats {
   std::uint64_t records = 0;
   std::uint64_t accesses = 0;
@@ -128,14 +90,14 @@ DecodeStats decode_all(const std::string& dir, unsigned nprocs) {
   for (unsigned p = 0; p < nprocs; ++p) {
     trace::Reader r(dir + "/" + trace::stream_name(p));
     trace::Record rec;
-    const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+    const std::uint64_t a0 = bench::alloc_count();
     while (r.next(rec)) {
       ++d.records;
       if (rec.op == trace::Op::kRead || rec.op == trace::Op::kWrite) {
         ++d.accesses;
       }
     }
-    d.allocs += g_allocs.load(std::memory_order_relaxed) - a0;
+    d.allocs += bench::alloc_count() - a0;
   }
   return d;
 }
@@ -213,32 +175,12 @@ int main() {
               (unsigned long long)dec.records, (unsigned long long)dec.allocs,
               allocs_per_access);
 
-  std::printf("\n");
-  struct Gate {
-    const char* name;
-    bool ok;
-  } gates[] = {
-      {"median replay >= 1.10x fiber", speedup >= 1.10},
-      {"median capture <= 1.20x fiber", capture_overhead <= 1.20},
-      {"compressed <= 25% of naive", compression <= 0.25},
-      {"decode allocs == 0", dec.allocs == 0},
-  };
-  bool all_ok = true;
-  for (const Gate& g : gates) {
-    std::printf("  %-30s %s\n", g.name, g.ok ? "ok" : "FAIL");
-    all_ok = all_ok && g.ok;
-  }
-
   FILE* f = std::fopen("BENCH_trace_replay.json", "w");
   if (f != nullptr) {
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"bench\": \"micro_trace\",\n");
-    std::fprintf(f,
-                 "  \"provenance\": {\"commit\": \"%s\", "
-                 "\"build_type\": \"%s\", \"compiler\": \"%s\", "
-                 "\"host_cores\": %u},\n",
-                 source_commit().c_str(), LRCSIM_BUILD_TYPE, __VERSION__,
-                 std::thread::hardware_concurrency());
+    std::fprintf(f, "  \"provenance\": %s,\n",
+                 bench::provenance_json().c_str());
     std::fprintf(f, "  \"trace\": {\n");
     std::fprintf(f, "    \"host_cores\": %u,\n",
                  std::thread::hardware_concurrency());
@@ -265,9 +207,10 @@ int main() {
     std::printf("\nwrote BENCH_trace_replay.json\n");
   }
 
-  if (!all_ok) {
-    std::printf("micro_trace: GATE FAILURE\n");
-    return 1;
-  }
-  return 0;
+  return bench::report_gates(
+      "micro_trace",
+      {{"median replay >= 1.10x fiber", speedup >= 1.10},
+       {"median capture <= 1.20x fiber", capture_overhead <= 1.20},
+       {"compressed <= 25% of naive", compression <= 0.25},
+       {"decode allocs == 0", dec.allocs == 0}});
 }

@@ -22,17 +22,22 @@ if [[ "${LRCSIM_DEBUG_SWEEP:-0}" == "1" ]]; then
   ctest --test-dir build-debug
 fi
 
+# Every binary runs even when one fails (a micro-bench exits 1 on a missed
+# bound); the script fails at the end if any did.
 {
+  status=0
   for b in build/bench/*; do
     [[ -f "$b" && -x "$b" ]] || continue
-    echo "===== $(basename "$b") ====="
-    if [[ "$(basename "$b")" == micro_substrate ]]; then
-      "$b"   # google-benchmark flags differ; always run as-is
+    name="$(basename "$b")"
+    echo "===== $name ====="
+    if [[ "$name" == micro_* ]]; then
+      "$b" || status=1   # positional arguments of their own, no scale flags
     else
-      "$b" "${SCALE_ARGS[@]}"
+      "$b" "${SCALE_ARGS[@]}" || status=1
     fi
     echo
   done
+  exit $status
 } 2>&1 | tee bench_output.txt
 
 echo "Done. See test_output.txt and bench_output.txt; compare the tables"
